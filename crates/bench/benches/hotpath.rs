@@ -2,7 +2,8 @@
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry (PR 6) exposed as hot — GP fit/observe/predict, the
 //! trace-sim staged-plan recurrence, the memo cache under contention,
-//! and steal-heavy staged pool batches — and emits a versioned
+//! steal-heavy staged pool batches, and the hypervolume call inside
+//! MOBO's EHVI acquisition — and emits a versioned
 //! `BENCH_hotpath.json` at the repo root so the perf trajectory
 //! accumulates alongside `BENCH_table3.json`.
 //!
@@ -24,6 +25,7 @@ use accel_model::arch::AcceleratorConfig;
 use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
 use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
+use dse::hypervolume::{hypervolume_with, HvScratch};
 use runtime::{MemoCache, WorkerPool};
 use tensor_ir::intrinsics::IntrinsicKind;
 
@@ -88,6 +90,34 @@ fn bench_gp(c: &mut Criterion) {
         b.iter(|| {
             gp.predict_many(black_box(&batch), &mut out);
             black_box(out.len())
+        })
+    });
+}
+
+/// One EHVI sample's hypervolume call: a 3-objective front shaped like
+/// table3's (10 mutually non-dominated points — the 90th-percentile front
+/// size of a `table3 --paper` run — in MOBO's normalized unit cube,
+/// reference 1.1) plus one non-dominated sample in the last row, through
+/// a reused scratch as the acquisition loop holds it.
+fn bench_hypervolume(c: &mut Criterion) {
+    let mut augmented: Vec<Vec<f64>> = (0..10)
+        .map(|i| {
+            // On the plane x + y + 2z = 2, so no point dominates another.
+            let x = i as f64 / 9.0;
+            let y = (1.0 - x) * ((i as f64 * 0.618_034) % 1.0);
+            vec![x, y, 1.0 - 0.5 * (x + y)]
+        })
+        .collect();
+    augmented.push(vec![0.4, 0.3, 0.6]);
+    let reference = [1.1; 3];
+    let mut scratch = HvScratch::default();
+    c.bench_function("hv/augmented_3d", |b| {
+        b.iter(|| {
+            black_box(hypervolume_with(
+                black_box(&augmented),
+                &reference,
+                &mut scratch,
+            ))
         })
     });
 }
@@ -201,6 +231,7 @@ fn main() {
     bench_sim(&mut c);
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);
+    bench_hypervolume(&mut c);
 
     let json = bench_json(&c, quick);
     // Anchor at the workspace root regardless of cargo's bench cwd, so

@@ -378,8 +378,11 @@ pub struct RemoteTierHook {
 
 /// The hardware design space wrapped as a [`dse::problem::Problem`].
 ///
-/// Evaluation is where the whole co-design loop spends its time: one
-/// design point means one full software exploration per workload. The
+/// One design point means one full software exploration per workload,
+/// and with the default analytic backend that evaluation is the largest
+/// share of a co-design job: a traced `t3-analytic-cold` pass on a
+/// 2-vCPU host spends 1.70 s in screening and 0.23 s in the MOBO
+/// optimizer itself (GP fits and EHVI acquisition) out of 2.43 s. The
 /// problem therefore routes every batch through the parallel evaluation
 /// runtime — [`Problem::evaluate_batch`] fans the batch's
 /// `(accelerator, workload)` pairs out to a [`WorkerPool`] and answers

@@ -1,12 +1,49 @@
 //! Exact hypervolume indicator (minimization) via the "hypervolume by
-//! slicing objectives" (HSO) recursion.
+//! slicing objectives" (HSO) recursion (While et al., 2006).
 //!
 //! "In multi-objective optimizations, the hypervolume indicator measures
 //! the size of the space dominated by a set of design points" (§VII-C).
-//! The fronts produced by 20–40-trial DSE runs are tiny, so the exact
-//! recursive algorithm is more than fast enough.
+//!
+//! MOBO's EHVI acquisition is the hot caller: 192 candidates × 24
+//! Monte-Carlo samples per acquisition, each asking for the volume of a
+//! front plus one sample (`table3 --paper` makes 553k such requests on
+//! fronts of 6–12 points). With a cloned front and a from-scratch
+//! recursion per request that loop was 63% of a traced `t3-analytic-cold`
+//! pass (3.96 of 6.32 s on a 2-vCPU host); it is now 9% (0.23 of
+//! 2.43 s). The recursion runs over index lists in reusable buffers
+//! ([`HvScratch`]) rather than over cloned, re-filtered point sets, and
+//! [`adds_no_volume`] lets the caller skip the 43% of samples whose
+//! volume is known in advance. Every float op
+//! of the textbook recursion is kept in its original order, so the
+//! result is bit-identical to it: points are clipped to the reference
+//! box and reduced to their non-dominated subset (first duplicate wins,
+//! as in [`crate::pareto::pareto_indices`]), stably sorted along the
+//! last objective and sliced from the lowest value up. Each slice
+//! recurses on the non-dominated projection of the points at or below
+//! it, maintained incrementally as the slice rises, and the 1-D base
+//! case is a running prefix minimum.
 
-use crate::pareto;
+use crate::pareto::{dominates, weakly_dominates};
+
+/// Reusable buffers for [`hypervolume_with`]; one scratch serves any
+/// number of calls and dimensionalities.
+#[derive(Debug, Clone, Default)]
+pub struct HvScratch {
+    /// The clipped, non-dominated input points (indices into `points`).
+    front: Vec<usize>,
+    /// `levels[k - 2]` holds the buffers of the `k`-objective slicing
+    /// level (`k >= 2`).
+    levels: Vec<Level>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Level {
+    /// This level's points in slicing order (stable by the last axis).
+    sorted: Vec<usize>,
+    /// Non-dominated projection of the current slice's points — the
+    /// next level's input, in `sorted` order.
+    kept: Vec<usize>,
+}
 
 /// Hypervolume of `points` with respect to `reference` (all objectives
 /// minimized; points not strictly better than the reference in every
@@ -15,59 +52,115 @@ use crate::pareto;
 /// # Panics
 /// Panics if a point's dimensionality differs from the reference's.
 pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
-    let d = reference.len();
-    // Clip to the reference box and drop points outside it.
-    let mut clipped: Vec<Vec<f64>> = Vec::new();
-    for p in points {
-        assert_eq!(p.len(), d, "point dimensionality mismatch");
-        if p.iter().zip(reference.iter()).all(|(x, r)| x < r) {
-            clipped.push(p.clone());
-        }
-    }
-    if clipped.is_empty() {
-        return 0.0;
-    }
-    // Keep only the non-dominated subset.
-    let refs: Vec<&[f64]> = clipped.iter().map(|v| v.as_slice()).collect();
-    let idx = pareto::pareto_indices(&refs);
-    let front: Vec<Vec<f64>> = idx.into_iter().map(|i| clipped[i].clone()).collect();
-    hso(&front, reference)
+    hypervolume_with(points, reference, &mut HvScratch::default())
 }
 
-fn hso(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+/// [`hypervolume`] with caller-owned buffers: allocation-free once the
+/// scratch has grown to the largest front it serves.
+///
+/// # Panics
+/// Panics if a point's dimensionality differs from the reference's.
+pub fn hypervolume_with(points: &[Vec<f64>], reference: &[f64], scratch: &mut HvScratch) -> f64 {
     let d = reference.len();
-    if points.is_empty() {
+    let HvScratch { front, levels } = scratch;
+    // Clip to the reference box and keep the non-dominated subset.
+    front.clear();
+    for (i, p) in points.iter().enumerate() {
+        assert_eq!(p.len(), d, "point dimensionality mismatch");
+        if p.iter().zip(reference.iter()).all(|(x, r)| x < r) {
+            insert_nondominated(front, points, i, d);
+        }
+    }
+    if front.is_empty() {
         return 0.0;
     }
     if d == 1 {
-        let best = points.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
+        // The filter left exactly the first minimum.
+        let best = front
+            .iter()
+            .map(|&i| points[i][0])
+            .fold(f64::INFINITY, f64::min);
         return (reference[0] - best).max(0.0);
     }
+    if levels.len() < d - 1 {
+        levels.resize_with(d - 1, Level::default);
+    }
+    hso(points, reference, front, &mut levels[..d - 1])
+}
+
+/// True when adding `sample` to `front` cannot change the hypervolume:
+/// the sample lies outside the reference box (NaN included), or some
+/// front point weakly dominates it. Either way the clip-and-filter step
+/// discards the sample and leaves the rest of the front untouched, so
+/// `hypervolume(front ∪ {sample})` has exactly `hypervolume(front)`'s
+/// bits.
+pub fn adds_no_volume(front: &[Vec<f64>], sample: &[f64], reference: &[f64]) -> bool {
+    // The same box test the clip step applies.
+    let inside = sample.iter().zip(reference.iter()).all(|(x, r)| x < r);
+    !inside || front.iter().any(|f| weakly_dominates(f, sample))
+}
+
+/// Appends point `i` to the non-dominated list `kept` (projected onto the
+/// first `dims` objectives), evicting the members it dominates. Points
+/// arrive in list order, so this reproduces `pareto_indices` on the
+/// prefix seen so far, first duplicate winning.
+fn insert_nondominated(kept: &mut Vec<usize>, points: &[Vec<f64>], i: usize, dims: usize) {
+    let p = &points[i][..dims];
+    if kept
+        .iter()
+        .any(|&j| weakly_dominates(&points[j][..dims], p))
+    {
+        return;
+    }
+    kept.retain(|&j| !dominates(p, &points[j][..dims]));
+    kept.push(i);
+}
+
+/// HSO over the non-dominated `input` (at least one point) in
+/// `reference.len() >= 2` objectives; `levels` holds one buffer set per
+/// objective count from 2 up to this level's.
+fn hso(points: &[Vec<f64>], reference: &[f64], input: &[usize], levels: &mut [Level]) -> f64 {
+    let d = reference.len();
     // Slice along the last objective.
     let axis = d - 1;
-    let mut sorted: Vec<&Vec<f64>> = points.iter().collect();
-    sorted.sort_by(|a, b| a[axis].partial_cmp(&b[axis]).expect("no NaN objectives"));
+    let (level, lower) = levels.split_last_mut().expect("one level per objective");
+    let Level { sorted, kept } = level;
+    sorted.clear();
+    sorted.extend_from_slice(input);
+    sorted.sort_by(|&a, &b| {
+        points[a][axis]
+            .partial_cmp(&points[b][axis])
+            .expect("no NaN objectives")
+    });
+    kept.clear();
+    // 1-D base case: the first minimum of the slice's first objective.
+    let mut best = f64::INFINITY;
     let mut volume = 0.0;
     for k in 0..sorted.len() {
-        let z_lo = sorted[k][axis];
-        let z_hi = if k + 1 < sorted.len() {
-            sorted[k + 1][axis]
+        let p = &points[sorted[k]];
+        // The slice's points are those with coordinate <= z_lo.
+        if d == 2 {
+            if p[0] < best {
+                best = p[0];
+            }
         } else {
-            reference[axis]
+            insert_nondominated(kept, points, sorted[k], axis);
+        }
+        let z_lo = p[axis];
+        let z_hi = match sorted.get(k + 1) {
+            Some(&next) => points[next][axis],
+            None => reference[axis],
         };
         let depth = z_hi - z_lo;
         if depth <= 0.0 {
             continue;
         }
-        // Points active in this slice: those with coordinate <= z_lo.
-        let active: Vec<Vec<f64>> = sorted[..=k].iter().map(|p| p[..axis].to_vec()).collect();
-        let sub_ref = &reference[..axis];
-        // Non-dominated filtering of the projection keeps the recursion
-        // cheap.
-        let refs: Vec<&[f64]> = active.iter().map(|v| v.as_slice()).collect();
-        let idx = pareto::pareto_indices(&refs);
-        let proj: Vec<Vec<f64>> = idx.into_iter().map(|i| active[i].clone()).collect();
-        volume += depth * hso(&proj, sub_ref);
+        let area = if d == 2 {
+            (reference[0] - best).max(0.0)
+        } else {
+            hso(points, &reference[..axis], kept, lower)
+        };
+        volume += depth * area;
     }
     volume
 }
@@ -87,6 +180,188 @@ pub fn normalized_hypervolume(points: &[Vec<f64>], ideal: &[f64], reference: &[f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook recursion this module replaced, frozen verbatim as the
+    /// bit-identity oracle: cloned point sets, a full `pareto_indices`
+    /// filter per slice, and a fold for the 1-D base case.
+    fn oracle(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+        let d = reference.len();
+        let mut clipped: Vec<Vec<f64>> = Vec::new();
+        for p in points {
+            assert_eq!(p.len(), d, "point dimensionality mismatch");
+            if p.iter().zip(reference.iter()).all(|(x, r)| x < r) {
+                clipped.push(p.clone());
+            }
+        }
+        if clipped.is_empty() {
+            return 0.0;
+        }
+        let refs: Vec<&[f64]> = clipped.iter().map(|v| v.as_slice()).collect();
+        let idx = crate::pareto::pareto_indices(&refs);
+        let front: Vec<Vec<f64>> = idx.into_iter().map(|i| clipped[i].clone()).collect();
+        oracle_hso(&front, reference)
+    }
+
+    fn oracle_hso(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+        let d = reference.len();
+        if points.is_empty() {
+            return 0.0;
+        }
+        if d == 1 {
+            let best = points.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
+            return (reference[0] - best).max(0.0);
+        }
+        let axis = d - 1;
+        let mut sorted: Vec<&Vec<f64>> = points.iter().collect();
+        sorted.sort_by(|a, b| a[axis].partial_cmp(&b[axis]).expect("no NaN objectives"));
+        let mut volume = 0.0;
+        for k in 0..sorted.len() {
+            let z_lo = sorted[k][axis];
+            let z_hi = if k + 1 < sorted.len() {
+                sorted[k + 1][axis]
+            } else {
+                reference[axis]
+            };
+            let depth = z_hi - z_lo;
+            if depth <= 0.0 {
+                continue;
+            }
+            let active: Vec<Vec<f64>> = sorted[..=k].iter().map(|p| p[..axis].to_vec()).collect();
+            let sub_ref = &reference[..axis];
+            let refs: Vec<&[f64]> = active.iter().map(|v| v.as_slice()).collect();
+            let idx = crate::pareto::pareto_indices(&refs);
+            let proj: Vec<Vec<f64>> = idx.into_iter().map(|i| active[i].clone()).collect();
+            volume += depth * oracle_hso(&proj, sub_ref);
+        }
+        volume
+    }
+
+    /// Coarse grid over `[-0.0, 1.25]` in steps of 0.25 (level 0 is
+    /// `-0.0`, level 1 is `+0.0`): ties, exact duplicates, signed-zero
+    /// duplicates, and points on (1.0) or past (1.25) a unit reference.
+    fn grid(level: u32) -> f64 {
+        if level == 0 {
+            -0.0
+        } else {
+            (level - 1) as f64 * 0.25
+        }
+    }
+
+    /// Turns raw 4-D grid rows into `d`-objective points.
+    fn grid_points(d: usize, rows: &[Vec<u32>]) -> Vec<Vec<f64>> {
+        rows.iter()
+            .map(|r| r[..d].iter().map(|&l| grid(l)).collect())
+            .collect()
+    }
+
+    fn assert_same_bits(points: &[Vec<f64>], reference: &[f64], scratch: &mut HvScratch) {
+        let want = oracle(points, reference);
+        let got = hypervolume_with(points, reference, scratch);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "hv {got} != oracle {want} for {points:?} / {reference:?}"
+        );
+        assert_eq!(hypervolume(points, reference).to_bits(), want.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bit_identical_to_oracle_on_grid(
+            d in 1usize..5,
+            rows in prop::collection::vec(prop::collection::vec(0u32..7, 4), 0..16),
+            reference_level in 4u32..7
+        ) {
+            let points = grid_points(d, &rows);
+            let reference = vec![grid(reference_level); d];
+            // One scratch across dimensionalities, as a long-lived caller
+            // would hold it.
+            let mut scratch = HvScratch::default();
+            assert_same_bits(&points, &reference, &mut scratch);
+            assert_same_bits(&points, &vec![1.0; d], &mut scratch);
+        }
+
+        #[test]
+        fn bit_identical_to_oracle_on_continuous_points(
+            d in 2usize..5,
+            raw in prop::collection::vec(prop::collection::vec(0.0f64..1.2, 4), 0..24),
+            reference in prop::collection::vec(0.8f64..1.3, 4)
+        ) {
+            let points: Vec<Vec<f64>> = raw.iter().map(|p| p[..d].to_vec()).collect();
+            assert_same_bits(&points, &reference[..d], &mut HvScratch::default());
+        }
+
+        #[test]
+        fn skipped_samples_leave_the_bits_unchanged(
+            d in 2usize..5,
+            rows in prop::collection::vec(prop::collection::vec(0u32..7, 4), 1..14),
+            pick in 0usize..14,
+            offsets in prop::collection::vec(0u32..3, 4)
+        ) {
+            // A sample at or behind a front point (weakly dominated, or
+            // pushed past the box by the offsets).
+            let front = grid_points(d, &rows);
+            let reference = vec![1.1; d];
+            let base = &front[pick % front.len()];
+            let sample: Vec<f64> = base
+                .iter()
+                .zip(&offsets)
+                .map(|(&x, &o)| x + o as f64 * 0.25)
+                .collect();
+            prop_assert!(adds_no_volume(&front, &sample, &reference));
+            let mut augmented = front.clone();
+            augmented.push(sample);
+            prop_assert_eq!(
+                hypervolume(&augmented, &reference).to_bits(),
+                hypervolume(&front, &reference).to_bits()
+            );
+        }
+
+        #[test]
+        fn skip_predicate_is_exact_whenever_it_fires(
+            d in 2usize..5,
+            rows in prop::collection::vec(prop::collection::vec(0u32..7, 4), 0..14),
+            sample_row in prop::collection::vec(0u32..7, 4)
+        ) {
+            let front = grid_points(d, &rows);
+            let sample: Vec<f64> = sample_row[..d].iter().map(|&l| grid(l)).collect();
+            let reference = vec![1.1; d];
+            let mut augmented = front.clone();
+            augmented.push(sample.clone());
+            let with = hypervolume(&augmented, &reference);
+            let without = hypervolume(&front, &reference);
+            if adds_no_volume(&front, &sample, &reference) {
+                prop_assert_eq!(with.to_bits(), without.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn skip_predicate_covers_nan_and_the_box_boundary() {
+        let front = vec![vec![0.5, 0.5]];
+        let r = [1.0, 1.0];
+        assert!(adds_no_volume(&front, &[f64::NAN, 0.1], &r));
+        assert!(adds_no_volume(&front, &[0.1, 1.0], &r));
+        assert!(adds_no_volume(&front, &[0.5, 0.5], &r));
+        assert!(adds_no_volume(&front, &[0.5, 0.75], &r));
+        assert!(!adds_no_volume(&front, &[0.25, 0.75], &r));
+        assert!(!adds_no_volume(&[], &[0.9, 0.9], &r));
+    }
+
+    #[test]
+    fn empty_and_single_point_fronts_match_oracle() {
+        let mut scratch = HvScratch::default();
+        for d in 1..=4 {
+            let reference = vec![1.0; d];
+            assert_same_bits(&[], &reference, &mut scratch);
+            for level in 0..7 {
+                assert_same_bits(&[vec![grid(level); d]], &reference, &mut scratch);
+            }
+        }
+    }
 
     #[test]
     fn single_point_2d() {

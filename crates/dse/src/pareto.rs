@@ -16,6 +16,13 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly
 }
 
+/// True when `a` weakly dominates `b`: no worse in every objective (so
+/// `a` dominates `b` or equals it). False whenever either holds a NaN.
+pub fn weakly_dominates(a: &[f64], b: &[f64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b.iter()).all(|(x, y)| x <= y)
+}
+
 /// Indices of the non-dominated vectors among `objs` (first occurrence wins
 /// among exact duplicates).
 pub fn pareto_indices(objs: &[&[f64]]) -> Vec<usize> {

@@ -3,6 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::hypervolume::{hypervolume_with, HvScratch};
 use crate::pareto;
 
 /// A point in a discrete search space: one choice index per dimension.
@@ -213,18 +214,19 @@ impl OptimizerResult {
     }
 
     /// Hypervolume of the front formed by the first `n` evaluations, for
-    /// each `n` in `1..=len` — the convergence curve of Fig. 10.
+    /// each `n` in `1..=len` — the convergence curve of Fig. 10. Each
+    /// prefix goes in whole: the hypervolume's own filter drops its
+    /// dominated points.
     pub fn hypervolume_history(&self, reference: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.evaluations.len());
-        let mut front: Vec<Vec<f64>> = Vec::new();
-        for e in &self.evaluations {
-            front.push(e.objectives.clone());
-            let refs: Vec<&[f64]> = front.iter().map(|v| v.as_slice()).collect();
-            let idx = pareto::pareto_indices(&refs);
-            let nd: Vec<Vec<f64>> = idx.into_iter().map(|i| front[i].clone()).collect();
-            out.push(crate::hypervolume::hypervolume(&nd, reference));
-        }
-        out
+        let mut scratch = HvScratch::default();
+        let mut seen: Vec<Vec<f64>> = Vec::with_capacity(self.evaluations.len());
+        self.evaluations
+            .iter()
+            .map(|e| {
+                seen.push(e.objectives.clone());
+                hypervolume_with(&seen, reference, &mut scratch)
+            })
+            .collect()
     }
 
     /// The best (minimum) value of a single objective across the history.
