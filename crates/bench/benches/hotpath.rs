@@ -2,8 +2,9 @@
 //! surrogate being cheap, so this suite times exactly the paths the
 //! telemetry (PR 6) exposed as hot — GP fit/observe/predict, the
 //! trace-sim staged-plan recurrence, the memo cache under contention,
-//! steal-heavy staged pool batches, and the hypervolume call inside
-//! MOBO's EHVI acquisition — and emits a versioned
+//! steal-heavy staged pool batches, the hypervolume call inside
+//! MOBO's EHVI acquisition, and the software explorer's DQN replay
+//! training — and emits a versioned
 //! `BENCH_hotpath.json` at the repo root so the perf trajectory
 //! accumulates alongside `BENCH_table3.json`.
 //!
@@ -27,19 +28,25 @@ use accel_model::sim::{program_from_plan, TraceSimulator};
 use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
 use dse::hypervolume::{hypervolume_with, HvScratch};
 use runtime::{MemoCache, WorkerPool};
+use sw_opt::qlearn::QLearner;
+use sw_opt::schedule::{MAX_DIMS, NUM_REVISIONS};
 use tensor_ir::intrinsics::IntrinsicKind;
 
-/// Deterministic training rows shaped like the surrogate's feature
-/// vectors (8 dims in [0, 1]) with a smooth log-ratio-like target.
-fn gp_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let mut seed = 0x2545f4914f6cdd1du64;
-    let mut unit = move || {
-        // xorshift64*: cheap, deterministic, good enough for bench data.
+/// Deterministic values in [0, 1) from xorshift64*: cheap, and good
+/// enough for bench data.
+fn unit_stream(mut seed: u64) -> impl FnMut() -> f64 {
+    move || {
         seed ^= seed >> 12;
         seed ^= seed << 25;
         seed ^= seed >> 27;
         (seed.wrapping_mul(0x2545f4914f6cdd1d) >> 11) as f64 / (1u64 << 53) as f64
-    };
+    }
+}
+
+/// Deterministic training rows shaped like the surrogate's feature
+/// vectors (8 dims in [0, 1]) with a smooth log-ratio-like target.
+fn gp_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut unit = unit_stream(0x2545f4914f6cdd1d);
     let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..8).map(|_| unit()).collect()).collect();
     let ys: Vec<f64> = xs
         .iter()
@@ -119,6 +126,22 @@ fn bench_hypervolume(c: &mut Criterion) {
                 &mut scratch,
             ))
         })
+    });
+}
+
+/// One `QLearner::observe` as the software explorer makes it: the
+/// paper's 18 → 48 → 48 → 48 → 26 network, a full 512-transition replay
+/// buffer, and a 16-step replay mini-batch (a TD step each).
+fn bench_qlearn(c: &mut Criterion) {
+    let mut unit = unit_stream(0x9e37_79b9_7f4a_7c15);
+    let mut features = move || -> Vec<f64> { (0..2 * MAX_DIMS + 2).map(|_| unit()).collect() };
+    let mut q = QLearner::new(7);
+    for i in 0..512 {
+        q.observe(features(), i % NUM_REVISIONS, 0.1, features());
+    }
+    let (state, next) = (features(), features());
+    c.bench_function("qlearn/observe_replay16", |b| {
+        b.iter(|| q.observe(state.clone(), 3, 0.25, next.clone()))
     });
 }
 
@@ -232,6 +255,7 @@ fn main() {
     bench_cache(&mut c, quick);
     bench_pool(&mut c, quick);
     bench_hypervolume(&mut c);
+    bench_qlearn(&mut c);
 
     let json = bench_json(&c, quick);
     // Anchor at the workspace root regardless of cargo's bench cwd, so

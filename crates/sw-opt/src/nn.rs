@@ -5,8 +5,21 @@
 //!
 //! Plain `f64` math, ReLU activations, squared-error loss on selected
 //! outputs, and SGD — everything the Q-learner needs and nothing more.
+//!
+//! Replay training dominates a software exploration (~85% of its time
+//! on perfbench's sw-map requests, 2 vCPUs), so the training path reuses activation and gradient buffers
+//! owned by the network and computes four outputs per pass over a
+//! layer's input. Neither changes a float op or its order: every dot
+//! product still accumulates sequentially from std's `f64: Sum` start
+//! value, so the explorer's trajectory is bit-identical to a naive
+//! implementation (pinned against a frozen copy of one in the tests).
 
 use rand::Rng;
+
+/// Where every dot product starts accumulating: the neutral element of
+/// std's `f64: Sum`, so a row whose products are all `-0.0` still sums
+/// to `-0.0`.
+const SUM_START: f64 = -0.0;
 
 /// A fully-connected layer.
 #[derive(Debug, Clone)]
@@ -32,13 +45,82 @@ impl Layer {
         }
     }
 
-    fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.b.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.w[o * self.inputs..(o + 1) * self.inputs];
-            *yo += row.iter().zip(x.iter()).map(|(w, x)| w * x).sum::<f64>();
+    /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, each sum accumulated in ascending
+    /// `i` from [`SUM_START`]. Four rows share one pass over `x`: their
+    /// independent accumulators hide the add latency without
+    /// reassociating any sum.
+    fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+        let n = self.inputs;
+        let x = &x[..n];
+        let blocks = self.w.chunks_exact(4 * n);
+        let rest = blocks.remainder();
+        let mut o = 0;
+        for rows in blocks {
+            let (r0, rows) = rows.split_at(n);
+            let (r1, rows) = rows.split_at(n);
+            let (r2, r3) = rows.split_at(n);
+            let mut acc = [SUM_START; 4];
+            for ((((&xi, w0), w1), w2), w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                acc[0] += w0 * xi;
+                acc[1] += w1 * xi;
+                acc[2] += w2 * xi;
+                acc[3] += w3 * xi;
+            }
+            for (k, a) in acc.into_iter().enumerate() {
+                y[o + k] = self.b[o + k] + a;
+            }
+            o += 4;
         }
-        y
+        for row in rest.chunks_exact(n) {
+            y[o] = self.b[o] + row.iter().zip(x).fold(SUM_START, |a, (w, x)| a + w * x);
+            o += 1;
+        }
+    }
+
+    /// One SGD step from `grad` = dL/dy at input `x`: for every output
+    /// with a nonzero gradient `g`, `w[o][i] -= (lr·g)·x[i]` and
+    /// `b[o] -= lr·g`. When `grad_in` is given it accumulates dL/dx,
+    /// read from the weights before they move.
+    fn backward(&mut self, grad: &[f64], x: &[f64], lr: f64, mut grad_in: Option<&mut [f64]>) {
+        let n = self.inputs;
+        for (o, &g) in grad.iter().enumerate() {
+            if g == 0.0 {
+                continue;
+            }
+            let step = lr * g;
+            let row = &mut self.w[o * n..(o + 1) * n];
+            match grad_in.as_deref_mut() {
+                Some(grad_in) => {
+                    for ((w, gi), &xi) in row.iter_mut().zip(grad_in.iter_mut()).zip(x) {
+                        *gi += *w * g;
+                        *w -= step * xi;
+                    }
+                }
+                None => {
+                    for (w, &xi) in row.iter_mut().zip(x) {
+                        *w -= step * xi;
+                    }
+                }
+            }
+            self.b[o] -= step;
+        }
+    }
+}
+
+/// Runs `x` through `layers`, writing each layer's output into `acts`
+/// with ReLU applied in place on every layer but the last.
+fn forward_layers(layers: &[Layer], x: &[f64], acts: &mut [Vec<f64>]) {
+    let last = layers.len() - 1;
+    for (li, layer) in layers.iter().enumerate() {
+        let (done, rest) = acts.split_at_mut(li);
+        let input = done.last().map_or(x, Vec::as_slice);
+        let y = &mut rest[0];
+        layer.forward_into(input, y);
+        if li < last {
+            for v in y.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
     }
 }
 
@@ -46,34 +128,28 @@ impl Layer {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
-}
-
-/// Cached activations from a forward pass, needed for the backward pass.
-#[derive(Debug, Clone)]
-pub struct ForwardPass {
-    /// Pre-activation values per layer.
-    pre: Vec<Vec<f64>>,
-    /// Post-activation values per layer (index 0 is the input).
-    post: Vec<Vec<f64>>,
-}
-
-impl ForwardPass {
-    /// The network output.
-    pub fn output(&self) -> &[f64] {
-        self.post.last().expect("forward pass has layers")
-    }
+    /// Each layer's output from the last training-path forward pass.
+    acts: Vec<Vec<f64>>,
+    /// Backward-pass scratch: dL/d(output) of the current layer, and
+    /// dL/d(input) being accumulated from it.
+    grad: Vec<f64>,
+    grad_in: Vec<f64>,
 }
 
 impl Mlp {
     /// Creates a 4-layer network with the given widths.
     pub fn new<R: Rng + ?Sized>(input: usize, hidden: usize, output: usize, rng: &mut R) -> Self {
+        let layers = vec![
+            Layer::new(input, hidden, rng),
+            Layer::new(hidden, hidden, rng),
+            Layer::new(hidden, hidden, rng),
+            Layer::new(hidden, output, rng),
+        ];
         Mlp {
-            layers: vec![
-                Layer::new(input, hidden, rng),
-                Layer::new(hidden, hidden, rng),
-                Layer::new(hidden, hidden, rng),
-                Layer::new(hidden, output, rng),
-            ],
+            acts: layers.iter().map(|l| vec![0.0; l.outputs]).collect(),
+            grad: Vec::new(),
+            grad_in: Vec::new(),
+            layers,
         }
     }
 
@@ -82,27 +158,11 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Forward pass returning the cached activations.
-    pub fn forward(&self, x: &[f64]) -> ForwardPass {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = vec![x.to_vec()];
-        for (li, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(post.last().expect("non-empty"));
-            let last = li == self.layers.len() - 1;
-            let a = if last {
-                z.clone()
-            } else {
-                z.iter().map(|&v| v.max(0.0)).collect()
-            };
-            pre.push(z);
-            post.push(a);
-        }
-        ForwardPass { pre, post }
-    }
-
-    /// Convenience: forward pass returning only the output.
+    /// The network output for `x`.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(x).output().to_vec()
+        let mut acts: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.outputs]).collect();
+        forward_layers(&self.layers, x, &mut acts);
+        acts.pop().expect("network has layers")
     }
 
     /// One SGD step on the squared error of a single output unit
@@ -115,46 +175,200 @@ impl Mlp {
         target: f64,
         learning_rate: f64,
     ) -> f64 {
-        let fp = self.forward(x);
-        let out = fp.output();
+        forward_layers(&self.layers, x, &mut self.acts);
+        let Mlp {
+            layers,
+            acts,
+            grad,
+            grad_in,
+        } = self;
+        let out = acts.last().expect("network has layers");
         let error = out[action] - target;
         // Output-layer gradient: only `action` has nonzero dL/dz.
-        let mut grad: Vec<f64> = vec![0.0; out.len()];
+        grad.clear();
+        grad.resize(out.len(), 0.0);
         grad[action] = error;
-        // Backprop through layers.
-        for li in (0..self.layers.len()).rev() {
-            let input = &fp.post[li];
-            let layer = &mut self.layers[li];
-            // Gradient wrt inputs for the next (lower) layer.
-            let mut grad_in = vec![0.0; layer.inputs];
-            for (o, &g) in grad.iter().enumerate().take(layer.outputs) {
-                if g == 0.0 {
-                    continue;
-                }
-                let row_start = o * layer.inputs;
-                for i in 0..layer.inputs {
-                    grad_in[i] += layer.w[row_start + i] * g;
-                    layer.w[row_start + i] -= learning_rate * g * input[i];
-                }
-                layer.b[o] -= learning_rate * g;
-            }
-            if li > 0 {
-                // ReLU derivative at the previous layer's pre-activation.
-                let prev_pre = &fp.pre[li - 1];
-                grad = grad_in
+        for li in (1..layers.len()).rev() {
+            let input = &acts[li - 1];
+            grad_in.clear();
+            grad_in.resize(input.len(), 0.0);
+            layers[li].backward(grad, input, learning_rate, Some(grad_in.as_mut_slice()));
+            // ReLU derivative. The input is the previous layer's
+            // post-activation `max(z, 0)`, positive exactly where `z` was
+            // (a NaN `z` maps to 0).
+            grad.clear();
+            grad.extend(
+                grad_in
                     .iter()
-                    .zip(prev_pre.iter())
-                    .map(|(&g, &z)| if z > 0.0 { g } else { 0.0 })
-                    .collect();
+                    .zip(input)
+                    .map(|(&g, &a)| if a > 0.0 { g } else { 0.0 }),
+            );
+        }
+        // The first layer's input gradient would be discarded.
+        layers[0].backward(grad, x, learning_rate, None);
+        0.5 * error * error
+    }
+
+    /// One Q-learning update towards the TD target
+    /// `reward + gamma · max_a Q(next_state, a)`:
+    /// [`Mlp::train_on_output`] on `state`'s `action`. Allocation-free.
+    /// Returns the pre-update error.
+    pub fn td_step(
+        &mut self,
+        state: &[f64],
+        action: usize,
+        reward: f64,
+        gamma: f64,
+        next_state: &[f64],
+        learning_rate: f64,
+    ) -> f64 {
+        forward_layers(&self.layers, next_state, &mut self.acts);
+        let next_q = self.acts.last().expect("network has layers");
+        let max_next = next_q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let target = reward + gamma * max_next;
+        self.train_on_output(state, action, target, learning_rate)
+    }
+
+    /// Every weight and bias, layer by layer, as raw bits.
+    #[cfg(test)]
+    pub(crate) fn param_bits(&self) -> Vec<u64> {
+        self.layers
+            .iter()
+            .flat_map(|l| l.w.iter().chain(&l.b).map(|v| v.to_bits()))
+            .collect()
+    }
+}
+
+/// A frozen copy of the network as it was before the forward pass was
+/// register-blocked and the training step went allocation-free: the
+/// reference the bit-identity tests compare against. Keep it naive.
+#[cfg(test)]
+pub(crate) mod frozen {
+    #[derive(Debug, Clone)]
+    struct Layer {
+        w: Vec<f64>,
+        b: Vec<f64>,
+        inputs: usize,
+        outputs: usize,
+    }
+
+    impl Layer {
+        fn forward(&self, x: &[f64]) -> Vec<f64> {
+            let mut y = self.b.clone();
+            for (o, yo) in y.iter_mut().enumerate() {
+                let row = &self.w[o * self.inputs..(o + 1) * self.inputs];
+                *yo += row.iter().zip(x.iter()).map(|(w, x)| w * x).sum::<f64>();
+            }
+            y
+        }
+    }
+
+    struct ForwardPass {
+        pre: Vec<Vec<f64>>,
+        post: Vec<Vec<f64>>,
+    }
+
+    impl ForwardPass {
+        fn output(&self) -> &[f64] {
+            self.post.last().expect("forward pass has layers")
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct Mlp {
+        layers: Vec<Layer>,
+    }
+
+    impl Mlp {
+        /// A copy of `net`'s current parameters.
+        pub(crate) fn copy_of(net: &super::Mlp) -> Self {
+            Mlp {
+                layers: net
+                    .layers
+                    .iter()
+                    .map(|l| Layer {
+                        w: l.w.clone(),
+                        b: l.b.clone(),
+                        inputs: l.inputs,
+                        outputs: l.outputs,
+                    })
+                    .collect(),
             }
         }
-        0.5 * error * error
+
+        pub(crate) fn param_bits(&self) -> Vec<u64> {
+            self.layers
+                .iter()
+                .flat_map(|l| l.w.iter().chain(&l.b).map(|v| v.to_bits()))
+                .collect()
+        }
+
+        fn forward(&self, x: &[f64]) -> ForwardPass {
+            let mut pre = Vec::with_capacity(self.layers.len());
+            let mut post = vec![x.to_vec()];
+            for (li, layer) in self.layers.iter().enumerate() {
+                let z = layer.forward(post.last().expect("non-empty"));
+                let last = li == self.layers.len() - 1;
+                let a = if last {
+                    z.clone()
+                } else {
+                    z.iter().map(|&v| v.max(0.0)).collect()
+                };
+                pre.push(z);
+                post.push(a);
+            }
+            ForwardPass { pre, post }
+        }
+
+        pub(crate) fn predict(&self, x: &[f64]) -> Vec<f64> {
+            self.forward(x).output().to_vec()
+        }
+
+        pub(crate) fn train_on_output(
+            &mut self,
+            x: &[f64],
+            action: usize,
+            target: f64,
+            learning_rate: f64,
+        ) -> f64 {
+            let fp = self.forward(x);
+            let out = fp.output();
+            let error = out[action] - target;
+            let mut grad: Vec<f64> = vec![0.0; out.len()];
+            grad[action] = error;
+            for li in (0..self.layers.len()).rev() {
+                let input = &fp.post[li];
+                let layer = &mut self.layers[li];
+                let mut grad_in = vec![0.0; layer.inputs];
+                for (o, &g) in grad.iter().enumerate().take(layer.outputs) {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let row_start = o * layer.inputs;
+                    for i in 0..layer.inputs {
+                        grad_in[i] += layer.w[row_start + i] * g;
+                        layer.w[row_start + i] -= learning_rate * g * input[i];
+                    }
+                    layer.b[o] -= learning_rate * g;
+                }
+                if li > 0 {
+                    let prev_pre = &fp.pre[li - 1];
+                    grad = grad_in
+                        .iter()
+                        .zip(prev_pre.iter())
+                        .map(|(&g, &z)| if z > 0.0 { g } else { 0.0 })
+                        .collect();
+                }
+            }
+            0.5 * error * error
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -228,5 +442,148 @@ mod tests {
             trained_delta > other_delta,
             "{trained_delta} vs {other_delta}"
         );
+    }
+
+    /// Dyadic values with both signed zeros: products and short sums are
+    /// exact, so pre-activations of exactly ±0 and rows of all-`-0.0`
+    /// products come up often.
+    const GRID: [f64; 8] = [-1.0, -0.5, -0.0, 0.0, 0.0, 0.5, 1.0, 2.0];
+
+    fn grid_vec(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| GRID[rng.gen_range(0..GRID.len())]).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `steps` random TD steps (and every other step a plain
+    /// `train_on_output`) through `net` and a frozen copy of it, failing
+    /// on the first bit that differs in the loss, the outputs or any
+    /// parameter.
+    fn check_against_frozen(
+        net: &mut Mlp,
+        steps: usize,
+        rng: &mut SmallRng,
+        mut input: impl FnMut(&mut SmallRng) -> Vec<f64>,
+        lr: f64,
+    ) -> Result<(), TestCaseError> {
+        let mut old = frozen::Mlp::copy_of(net);
+        let outputs = net.layers.last().unwrap().outputs;
+        for step in 0..steps {
+            let state = input(rng);
+            // Replayed transitions often revisit their own state.
+            let next = if rng.gen_bool(0.3) {
+                state.clone()
+            } else {
+                input(rng)
+            };
+            let action = rng.gen_range(0..outputs);
+            let reward = GRID[rng.gen_range(0..GRID.len())];
+            let (loss, old_loss) = if step % 2 == 0 {
+                let max_next = old
+                    .predict(&next)
+                    .iter()
+                    .cloned()
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let target = reward + 0.5 * max_next;
+                (
+                    net.td_step(&state, action, reward, 0.5, &next, lr),
+                    old.train_on_output(&state, action, target, lr),
+                )
+            } else {
+                (
+                    net.train_on_output(&state, action, reward, lr),
+                    old.train_on_output(&state, action, reward, lr),
+                )
+            };
+            prop_assert_eq!(loss.to_bits(), old_loss.to_bits(), "loss at step {}", step);
+            prop_assert_eq!(
+                bits(&net.predict(&next)),
+                bits(&old.predict(&next)),
+                "outputs at step {}",
+                step
+            );
+            prop_assert_eq!(
+                net.param_bits(),
+                old.param_bits(),
+                "params at step {}",
+                step
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sum_start_is_std_sums_neutral_element() {
+        let empty = std::iter::empty::<f64>().sum::<f64>();
+        assert_eq!(SUM_START.to_bits(), empty.to_bits());
+        // All-`-0.0` products must sum to `-0.0`, as std's `Sum` does.
+        let layer = Layer {
+            w: vec![-1.0, 2.0, -0.0, 0.5, 1.0, 1.0, -3.0, 0.25, -0.0],
+            b: vec![-0.0; 9],
+            inputs: 1,
+            outputs: 9,
+        };
+        let mut y = vec![1.0; 9];
+        layer.forward_into(&[0.0], &mut y);
+        let expected: Vec<f64> = layer.w.iter().map(|w| -0.0 + w * 0.0).collect();
+        assert_eq!(bits(&y), bits(&expected));
+        assert!(y[0].is_sign_negative() && y[1].is_sign_positive());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn grid_networks_train_bit_identically_to_frozen(
+            input in 1usize..11,
+            hidden in 1usize..14,
+            output in 1usize..8,
+            seed in any::<u64>()
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut net = Mlp::new(input, hidden, output, &mut rng);
+            // Grid parameters, so exact cancellations reach every layer.
+            for l in &mut net.layers {
+                l.w = grid_vec(&mut rng, l.w.len());
+                l.b = grid_vec(&mut rng, l.b.len());
+            }
+            check_against_frozen(&mut net, 12, &mut rng, |r| grid_vec(r, input), 0.25)?;
+        }
+
+        #[test]
+        fn he_initialised_networks_train_bit_identically_to_frozen(
+            input in 1usize..20,
+            hidden in 1usize..52,
+            output in 1usize..30,
+            seed in any::<u64>()
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut net = Mlp::new(input, hidden, output, &mut rng);
+            let features = |r: &mut SmallRng| -> Vec<f64> {
+                (0..input).map(|_| r.gen_range(-1.0..1.0)).collect()
+            };
+            check_against_frozen(&mut net, 8, &mut rng, features, 0.005)?;
+        }
+    }
+
+    #[test]
+    fn paper_sized_network_trains_bit_identically_to_frozen() {
+        // The Q-learner's 18 → 48 → 48 → 48 → 26 network over many
+        // consecutive steps, with features mixing continuous values and
+        // signed zeros.
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut net = Mlp::new(18, 48, 26, &mut rng);
+        let features = |r: &mut SmallRng| -> Vec<f64> {
+            (0..18)
+                .map(|_| match r.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => r.gen_range(-1.0..1.0),
+                })
+                .collect()
+        };
+        check_against_frozen(&mut net, 400, &mut rng, features, 0.005).unwrap();
     }
 }

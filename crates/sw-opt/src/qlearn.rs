@@ -109,11 +109,14 @@ impl QLearner {
         });
         for _ in 0..self.batch.min(self.replay.len()) {
             let t = &self.replay[self.rng.gen_range(0..self.replay.len())];
-            let next_q = self.net.predict(&t.next_state);
-            let max_next = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let target = t.reward + self.gamma * max_next;
-            let (s, a) = (t.state.clone(), t.action);
-            self.net.train_on_output(&s, a, target, self.learning_rate);
+            self.net.td_step(
+                &t.state,
+                t.action,
+                t.reward,
+                self.gamma,
+                &t.next_state,
+                self.learning_rate,
+            );
         }
         self.epsilon = (self.epsilon * 0.995).max(0.05);
     }
@@ -130,7 +133,9 @@ impl QLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::frozen;
     use accel_model::arch::AcceleratorConfig;
+    use proptest::prelude::*;
     use tensor_ir::intrinsics::IntrinsicKind;
     use tensor_ir::suites;
 
@@ -214,5 +219,132 @@ mod tests {
             q.observe(feat.clone(), 0, 0.0, feat.clone());
         }
         assert!(q.replay.len() <= 512);
+    }
+
+    /// A frozen copy of `QLearner::observe` as it was before the replay
+    /// step was fused, over the frozen network.
+    struct FrozenLearner {
+        net: frozen::Mlp,
+        rng: SmallRng,
+        replay: Vec<Transition>,
+        epsilon: f64,
+        gamma: f64,
+        learning_rate: f64,
+        replay_cap: usize,
+        batch: usize,
+    }
+
+    impl FrozenLearner {
+        fn mirror(q: &QLearner) -> Self {
+            FrozenLearner {
+                net: frozen::Mlp::copy_of(&q.net),
+                rng: q.rng.clone(),
+                replay: q.replay.clone(),
+                epsilon: q.epsilon,
+                gamma: q.gamma,
+                learning_rate: q.learning_rate,
+                replay_cap: q.replay_cap,
+                batch: q.batch,
+            }
+        }
+
+        fn observe(&mut self, state: Vec<f64>, action: usize, reward: f64, next_state: Vec<f64>) {
+            if self.replay.len() == self.replay_cap {
+                let i = self.rng.gen_range(0..self.replay.len());
+                self.replay.swap_remove(i);
+            }
+            self.replay.push(Transition {
+                state,
+                action,
+                reward,
+                next_state,
+            });
+            for _ in 0..self.batch.min(self.replay.len()) {
+                let t = &self.replay[self.rng.gen_range(0..self.replay.len())];
+                let next_q = self.net.predict(&t.next_state);
+                let max_next = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let target = t.reward + self.gamma * max_next;
+                let (s, a) = (t.state.clone(), t.action);
+                self.net.train_on_output(&s, a, target, self.learning_rate);
+            }
+            self.epsilon = (self.epsilon * 0.995).max(0.05);
+        }
+    }
+
+    /// Feeds the same transitions to `q` and a frozen mirror of it,
+    /// comparing weights, biases, Q-values, ε and the RNG state bit for
+    /// bit after every observation.
+    fn observe_like_frozen(
+        q: &mut QLearner,
+        transitions: impl IntoIterator<Item = (Vec<f64>, usize, f64, Vec<f64>)>,
+    ) -> Result<(), TestCaseError> {
+        let mut old = FrozenLearner::mirror(q);
+        for (step, (state, action, reward, next)) in transitions.into_iter().enumerate() {
+            q.observe(state.clone(), action, reward, next.clone());
+            old.observe(state.clone(), action, reward, next);
+            prop_assert_eq!(
+                q.net.param_bits(),
+                old.net.param_bits(),
+                "params at step {}",
+                step
+            );
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(q.net.predict(&state)),
+                bits(old.net.predict(&state)),
+                "Q-values at step {}",
+                step
+            );
+            prop_assert_eq!(q.epsilon.to_bits(), old.epsilon.to_bits());
+            prop_assert!(q.rng == old.rng, "RNG state at step {}", step);
+            prop_assert_eq!(q.replay.len(), old.replay.len());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn observe_is_bit_identical_to_frozen(seed in any::<u64>(), cap in 4usize..24) {
+            // A small replay cap, so eviction and replays of old
+            // transitions (some with `next_state == state`) start early.
+            let c = ctx();
+            let mut q = QLearner::new(seed);
+            q.replay_cap = cap;
+            let mut rng = SmallRng::seed_from_u64(seed ^ 1);
+            let mut transitions = Vec::new();
+            for _ in 0..40 {
+                let s = c.random_schedule(&mut rng);
+                let state = s.features(&c);
+                let next = if rng.gen_bool(0.3) {
+                    state.clone()
+                } else {
+                    c.random_schedule(&mut rng).features(&c)
+                };
+                let reward = [-1.0, 0.0, rng.gen_range(-1.0..1.0)][rng.gen_range(0..3usize)];
+                transitions.push((state, rng.gen_range(0..NUM_REVISIONS), reward, next));
+            }
+            observe_like_frozen(&mut q, transitions)?;
+        }
+    }
+
+    #[test]
+    fn observe_on_a_full_replay_buffer_is_bit_identical_to_frozen() {
+        // The explorer's own setting: the paper's network and the
+        // 512-transition buffer, past the point where it is full.
+        let c = ctx();
+        let mut q = QLearner::new(8);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let schedules: Vec<Vec<f64>> = (0..64)
+            .map(|_| c.random_schedule(&mut rng).features(&c))
+            .collect();
+        let transitions = (0..560).map(|i| {
+            let state = schedules[i % 64].clone();
+            let next = schedules[(i * 7 + 1) % 64].clone();
+            (state, i % NUM_REVISIONS, ((i % 5) as f64 - 2.0) / 2.0, next)
+        });
+        observe_like_frozen(&mut q, transitions).unwrap();
+        assert_eq!(q.replay.len(), q.replay_cap);
     }
 }
