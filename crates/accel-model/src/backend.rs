@@ -74,6 +74,18 @@ pub trait CostBackend: std::fmt::Debug + Send + Sync {
     fn as_surrogate(&self) -> Option<&SurrogateBackend> {
         None
     }
+
+    /// Whether one pricing is too cheap to be worth handing to another
+    /// thread: callers then price whole batches inline, since a thread
+    /// hand-off costs more than the work. The default is `true` — an
+    /// analytic pricing takes about a microsecond, and the calibrated and
+    /// surrogate tiers add only a factor lookup or a small GP prediction
+    /// to it — so wrappers that forward only the identity methods inherit
+    /// the analytic tier's behaviour. The trace simulator overrides it to
+    /// `false`.
+    fn is_cheap(&self) -> bool {
+        true
+    }
 }
 
 /// The selectable backend tiers, as seen by CLIs and run options.
@@ -243,6 +255,10 @@ impl CostBackend for TraceSimBackend {
         fp.write_str(self.name());
         fp.write_usize(self.max_stages);
         self.sim.model.tech.fingerprint_into(fp);
+    }
+
+    fn is_cheap(&self) -> bool {
+        false
     }
 }
 

@@ -3,8 +3,8 @@
 //! telemetry (PR 6) exposed as hot — GP fit/observe/predict, the
 //! trace-sim staged-plan recurrence, the memo cache under contention,
 //! steal-heavy staged pool batches, the hypervolume call inside
-//! MOBO's EHVI acquisition, and the software explorer's DQN replay
-//! training — and emits a versioned
+//! MOBO's EHVI acquisition, the software explorer's DQN replay
+//! training and one whole software exploration — and emits a versioned
 //! `BENCH_hotpath.json` at the repo root so the perf trajectory
 //! accumulates alongside `BENCH_table3.json`.
 //!
@@ -27,10 +27,14 @@ use accel_model::plan::{ExecutionPlan, TensorTraffic};
 use accel_model::sim::{program_from_plan, TraceSimulator};
 use dse::gp::{GaussianProcess, IncrementalGp, Posterior, PredictScratch};
 use dse::hypervolume::{hypervolume_with, HvScratch};
+use hasco::CoDesignOptions;
+use hasco_bench::common::gemmcore;
 use runtime::{MemoCache, WorkerPool};
+use sw_opt::explorer::SoftwareExplorer;
 use sw_opt::qlearn::QLearner;
 use sw_opt::schedule::{MAX_DIMS, NUM_REVISIONS};
 use tensor_ir::intrinsics::IntrinsicKind;
+use tensor_ir::suites;
 
 /// Deterministic values in [0, 1) from xorshift64*: cheap, and good
 /// enough for bench data.
@@ -145,6 +149,28 @@ fn bench_qlearn(c: &mut Criterion) {
     });
 }
 
+/// One `SoftwareExplorer::optimize` as perfbench's sw-map requests it: a
+/// ResNet-50 conv on the §VII-D GEMMCore at the paper's final-exploration
+/// options, with a 2-thread pool (which the analytic tier leaves idle:
+/// it prices its batches inline).
+fn bench_explorer(c: &mut Criterion) {
+    let workload = suites::resnet50_convs()
+        .into_iter()
+        .find(|w| w.name == "resnet_conv3_0_b")
+        .expect("ResNet-50 has conv3_0_b");
+    let cfg = gemmcore();
+    let opts = CoDesignOptions::paper(3).sw_final;
+    let explorer = SoftwareExplorer::new(3).with_workers(WorkerPool::new(2));
+    c.bench_function("sw/explore_paper_2t", |b| {
+        b.iter(|| {
+            explorer
+                .optimize(black_box(&workload), &cfg, &opts)
+                .expect("the GEMMCore maps every ResNet-50 conv")
+                .evaluated
+        })
+    });
+}
+
 /// A staged plan shaped like the refinement tier's work: mixed DMA and
 /// compute across 50 pipeline stages, double buffered.
 fn staged_plan() -> ExecutionPlan {
@@ -256,6 +282,7 @@ fn main() {
     bench_pool(&mut c, quick);
     bench_hypervolume(&mut c);
     bench_qlearn(&mut c);
+    bench_explorer(&mut c);
 
     let json = bench_json(&c, quick);
     // Anchor at the workspace root regardless of cargo's bench cwd, so

@@ -135,10 +135,22 @@ impl SoftwareExplorer {
 
     /// Evaluates candidate pools and per-round revision batches on the
     /// given worker pool. Schedule *generation* and Q-learning updates
-    /// stay serial, so results are identical at any worker count.
+    /// stay serial, so results are identical at any worker count. Cheap
+    /// tiers ([`CostBackend::is_cheap`]) price inline whatever the pool
+    /// size: a thread hand-off costs more than their pricing.
     pub fn with_workers(mut self, workers: WorkerPool) -> Self {
         self.workers = workers;
         self
+    }
+
+    /// The pool that prices this explorer's schedules: a serial one for
+    /// cheap tiers, the configured workers otherwise.
+    fn eval_pool(&self) -> WorkerPool {
+        if self.backend.is_cheap() {
+            WorkerPool::serial()
+        } else {
+            self.workers.clone()
+        }
     }
 
     /// Reports every revision round to `progress` (phase `"round"`) and
@@ -174,13 +186,14 @@ impl SoftwareExplorer {
             }
         }
         let mut rng = SmallRng::seed_from_u64(self.seed);
+        let workers = self.eval_pool();
         let mut pool = CandidatePool::initialize_batched(
             &ctx,
             cfg,
             self.backend.as_ref(),
             opts.pool,
             &mut rng,
-            &self.workers,
+            &workers,
         )?;
         let mut qlearner = QLearner::new(self.seed ^ 0x9e3779b97f4a7c15);
         let mut history = Vec::with_capacity(opts.rounds);
@@ -211,28 +224,14 @@ impl SoftwareExplorer {
             }
             evaluated += proposals.len();
 
-            // Phase 2, parallel: lower and cost the proposed schedules
-            // (pure functions of the schedule); inline and pooled
-            // evaluation yield identical results. Batches under 4 run
-            // inline, but that threshold does not fit the analytic tier:
-            // lowering plus pricing takes ~1.5 µs, while at the paper's
-            // `top_k = 4` every batch reaches `WorkerPool::map`, which
-            // spawns scoped threads per batch. On perfbench's sw-map
-            // request set this phase measured 0.04 s serial vs 0.3 s at 2
-            // threads. The trace-sim tier still needs these batches
-            // parallel, so the rule is left for a tier-aware fix (ROADMAP).
-            let evaluate_one = |_: usize, (_, revised, _): &(Candidate, Schedule, usize)| {
+            // Phase 2: lower and cost the proposed schedules (pure
+            // functions of the schedule), on the pool for expensive tiers
+            // and inline for cheap ones (see `eval_pool`): lowering plus
+            // analytic pricing takes ~1.5 µs per schedule, far less than a
+            // thread hand-off. Both yield identical results.
+            let outcomes = workers.map(&proposals, |_, (_, revised, _)| {
                 lowering::evaluate(revised, &ctx, cfg, self.backend.as_ref())
-            };
-            let outcomes = if proposals.len() < 4 {
-                proposals
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| evaluate_one(i, p))
-                    .collect()
-            } else {
-                self.workers.map(&proposals, evaluate_one)
-            };
+            });
 
             // Phase 3, serial: feed rewards back in submission order.
             let outcomes_len = proposals.len();
@@ -318,6 +317,7 @@ impl SoftwareExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accel_model::BackendKind;
     use tensor_ir::intrinsics::IntrinsicKind;
     use tensor_ir::suites;
 
@@ -371,33 +371,106 @@ mod tests {
         assert_eq!(a.history, b.history);
     }
 
+    /// A surrogate tier trained on five probe configurations until it
+    /// trusts its GP, so it prices through a frozen generation.
+    fn trained_surrogate() -> Arc<dyn CostBackend> {
+        let backend = BackendKind::Surrogate.build();
+        for (rows, kb) in [(8u32, 128u64), (16, 256), (32, 512), (8, 512), (32, 128)] {
+            let probe = AcceleratorConfig::builder(IntrinsicKind::Gemm)
+                .pe_array(rows, rows)
+                .scratchpad_kb(kb)
+                .build()
+                .unwrap();
+            backend.as_surrogate().unwrap().observe(&probe);
+        }
+        assert!(backend.as_surrogate().unwrap().is_trusted());
+        backend
+    }
+
+    fn metric_bits(m: &Metrics) -> [u64; 7] {
+        [
+            m.latency_cycles,
+            m.latency_ms,
+            m.energy_uj,
+            m.power_mw,
+            m.area_mm2,
+            m.throughput_mops,
+            m.utilization,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Explores one conv layer with `backend` on pools of 1, 2 and 4
+    /// threads and asserts that every run matches the serial one bit for
+    /// bit. At `top_k >= 4` every round's revision batch has several
+    /// schedules, so a tier that is not cheap really prices them on the
+    /// pool, while cheap tiers price inline whatever its size. The
+    /// random-revision ablation (`use_qlearning: false`) draws its
+    /// revisions from the explorer's RNG instead of the Q-network.
+    fn assert_pool_size_independent(tier: &str, cheap: bool, backend: &Arc<dyn CostBackend>) {
+        assert_eq!(backend.is_cheap(), cheap, "{tier}");
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        let c = cfg();
+        for (top_k, use_qlearning) in [(4, true), (4, false), (6, true)] {
+            let opts = ExplorerOptions {
+                top_k,
+                use_qlearning,
+                ..quick_opts()
+            };
+            let runs = [1, 2, 4].map(|threads| {
+                let pool = WorkerPool::new(threads);
+                let r = SoftwareExplorer::new(13)
+                    .with_backend(Arc::clone(backend))
+                    .with_workers(pool.clone())
+                    .optimize(&wl, &c, &opts)
+                    .unwrap();
+                (threads, r, pool.stats().batches)
+            });
+            let serial = &runs[0].1;
+            let history = |r: &OptimizedSoftware| -> Vec<u64> {
+                r.history.iter().map(|l| l.to_bits()).collect()
+            };
+            for (threads, r, batches) in &runs {
+                let case =
+                    format!("{tier}, top_k {top_k}, qlearning {use_qlearning}, {threads} threads");
+                assert_eq!(r.schedule, serial.schedule, "{case}");
+                assert_eq!(
+                    metric_bits(&r.metrics),
+                    metric_bits(&serial.metrics),
+                    "{case}"
+                );
+                assert_eq!(history(r), history(serial), "{case}");
+                assert_eq!(r.evaluated, serial.evaluated, "{case}");
+                if cheap {
+                    assert_eq!(*batches, 0, "{case}: a cheap tier prices inline");
+                } else {
+                    assert!(*batches > 0, "{case}: an expensive tier uses the pool");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_workers_do_not_change_results() {
-        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
-        for use_qlearning in [true, false] {
-            let mut opts = quick_opts();
-            opts.use_qlearning = use_qlearning;
-            let serial = SoftwareExplorer::new(13)
-                .optimize(&wl, &cfg(), &opts)
-                .unwrap();
-            let parallel = SoftwareExplorer::new(13)
-                .with_workers(runtime::WorkerPool::new(4))
-                .optimize(&wl, &cfg(), &opts)
-                .unwrap();
-            assert_eq!(
-                serial.history, parallel.history,
-                "qlearning={use_qlearning}"
-            );
-            assert_eq!(
-                serial.metrics.latency_cycles,
-                parallel.metrics.latency_cycles
-            );
-            assert_eq!(serial.evaluated, parallel.evaluated);
-            assert_eq!(
-                serial.schedule.choice.var_map,
-                parallel.schedule.choice.var_map
-            );
+        for kind in [BackendKind::Analytic, BackendKind::Calibrated] {
+            assert_pool_size_independent(&kind.to_string(), true, &kind.build());
         }
+    }
+
+    #[test]
+    fn sim_backend_results_are_thread_count_independent() {
+        // The only tier that costs more than a thread hand-off.
+        let kind = BackendKind::TraceSim;
+        assert_pool_size_independent(&kind.to_string(), false, &kind.build());
+    }
+
+    #[test]
+    fn trained_surrogate_explorations_stay_deterministic() {
+        // Untrained it prices through the analytic fallback; trained, a
+        // frozen generation must price identically everywhere.
+        let kind = BackendKind::Surrogate;
+        assert_pool_size_independent(&kind.to_string(), true, &kind.build());
+        assert_pool_size_independent("trained surrogate", true, &trained_surrogate());
     }
 
     #[test]
@@ -432,26 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_results_are_thread_count_independent() {
-        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
-        let c = cfg();
-        let serial = SoftwareExplorer::new(17)
-            .with_backend(accel_model::BackendKind::TraceSim.build())
-            .optimize(&wl, &c, &quick_opts())
-            .unwrap();
-        let parallel = SoftwareExplorer::new(17)
-            .with_backend(accel_model::BackendKind::TraceSim.build())
-            .with_workers(runtime::WorkerPool::new(4))
-            .optimize(&wl, &c, &quick_opts())
-            .unwrap();
-        assert_eq!(serial.history, parallel.history);
-        assert_eq!(
-            serial.metrics.latency_cycles,
-            parallel.metrics.latency_cycles
-        );
-    }
-
-    #[test]
     fn surrogate_generations_move_the_explorer_fingerprint() {
         // The hardware DSE keys its memo cache by this fingerprint; a
         // surrogate retraining between batches must invalidate it, or
@@ -462,38 +515,6 @@ mod tests {
         let surrogate = explorer.backend().as_surrogate().expect("surrogate tier");
         assert!(surrogate.observe(&cfg()) > 0);
         assert_ne!(before, explorer.backend_fingerprint());
-    }
-
-    #[test]
-    fn trained_surrogate_explorations_stay_deterministic() {
-        // Train one surrogate, then explore twice (serial and parallel):
-        // a frozen generation must price identically everywhere.
-        let wl = suites::gemm_workload("g", 256, 256, 256);
-        let c = cfg();
-        let backend = accel_model::BackendKind::Surrogate.build();
-        for (rows, kb) in [(8u32, 128u64), (16, 256), (32, 512), (8, 512), (32, 128)] {
-            let probe = AcceleratorConfig::builder(tensor_ir::intrinsics::IntrinsicKind::Gemm)
-                .pe_array(rows, rows)
-                .scratchpad_kb(kb)
-                .build()
-                .unwrap();
-            backend.as_surrogate().unwrap().observe(&probe);
-        }
-        assert!(backend.as_surrogate().unwrap().is_trusted());
-        let serial = SoftwareExplorer::new(19)
-            .with_backend(backend.clone())
-            .optimize(&wl, &c, &quick_opts())
-            .unwrap();
-        let parallel = SoftwareExplorer::new(19)
-            .with_backend(backend)
-            .with_workers(runtime::WorkerPool::new(4))
-            .optimize(&wl, &c, &quick_opts())
-            .unwrap();
-        assert_eq!(serial.history, parallel.history);
-        assert_eq!(
-            serial.metrics.latency_cycles,
-            parallel.metrics.latency_cycles
-        );
     }
 
     #[test]
@@ -577,18 +598,7 @@ mod tests {
             }
         };
         for r in runs {
-            let m = &r.metrics;
-            for v in [
-                m.latency_cycles,
-                m.latency_ms,
-                m.energy_uj,
-                m.power_mw,
-                m.area_mm2,
-                m.throughput_mops,
-                m.utilization,
-            ] {
-                eat(v.to_bits());
-            }
+            metric_bits(&r.metrics).into_iter().for_each(&mut eat);
             r.history.iter().for_each(|l| eat(l.to_bits()));
             eat(r.evaluated as u64);
         }

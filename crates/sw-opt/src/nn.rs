@@ -6,13 +6,15 @@
 //! Plain `f64` math, ReLU activations, squared-error loss on selected
 //! outputs, and SGD — everything the Q-learner needs and nothing more.
 //!
-//! Replay training dominates a software exploration (~85% of its time
-//! on perfbench's sw-map requests, 2 vCPUs), so the training path reuses activation and gradient buffers
-//! owned by the network and computes four outputs per pass over a
-//! layer's input. Neither changes a float op or its order: every dot
-//! product still accumulates sequentially from std's `f64: Sum` start
-//! value, so the explorer's trajectory is bit-identical to a naive
-//! implementation (pinned against a frozen copy of one in the tests).
+//! Replay training dominates a software exploration (~83% of its time
+//! on perfbench's sw-map requests, 2 vCPUs), so the training path reuses
+//! activation and gradient buffers owned by the network, computes four
+//! outputs per pass over a layer's input, and runs a TD step's two
+//! inputs through each layer together. None of this changes a float op
+//! or its order: every dot product still accumulates sequentially from
+//! std's `f64: Sum` start value, so the explorer's trajectory is
+//! bit-identical to a naive implementation (pinned against a frozen
+//! copy of one in the tests).
 
 use rand::Rng;
 
@@ -45,13 +47,14 @@ impl Layer {
         }
     }
 
-    /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, each sum accumulated in ascending
-    /// `i` from [`SUM_START`]. Four rows share one pass over `x`: their
-    /// independent accumulators hide the add latency without
-    /// reassociating any sum.
-    fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+    /// `y[o] = b[o] + Σ_i w[o][i]·x[i]` for each of `K` inputs, each sum
+    /// accumulated in ascending `i` from [`SUM_START`]. Four rows share
+    /// one pass over the inputs, and every weight loaded feeds all `K`
+    /// inputs: the `4·K` independent accumulators hide the add latency
+    /// without reassociating any sum.
+    fn forward_into<const K: usize>(&self, xs: [&[f64]; K], mut ys: [&mut [f64]; K]) {
         let n = self.inputs;
-        let x = &x[..n];
+        let xs = xs.map(|x| &x[..n]);
         let blocks = self.w.chunks_exact(4 * n);
         let rest = blocks.remainder();
         let mut o = 0;
@@ -59,20 +62,26 @@ impl Layer {
             let (r0, rows) = rows.split_at(n);
             let (r1, rows) = rows.split_at(n);
             let (r2, r3) = rows.split_at(n);
-            let mut acc = [SUM_START; 4];
-            for ((((&xi, w0), w1), w2), w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                acc[0] += w0 * xi;
-                acc[1] += w1 * xi;
-                acc[2] += w2 * xi;
-                acc[3] += w3 * xi;
+            let mut acc = [[SUM_START; 4]; K];
+            for i in 0..n {
+                let w = [r0[i], r1[i], r2[i], r3[i]];
+                for (acc, x) in acc.iter_mut().zip(xs) {
+                    for (a, w) in acc.iter_mut().zip(w) {
+                        *a += w * x[i];
+                    }
+                }
             }
-            for (k, a) in acc.into_iter().enumerate() {
-                y[o + k] = self.b[o + k] + a;
+            for (y, acc) in ys.iter_mut().zip(acc) {
+                for (k, a) in acc.into_iter().enumerate() {
+                    y[o + k] = self.b[o + k] + a;
+                }
             }
             o += 4;
         }
         for row in rest.chunks_exact(n) {
-            y[o] = self.b[o] + row.iter().zip(x).fold(SUM_START, |a, (w, x)| a + w * x);
+            for (y, x) in ys.iter_mut().zip(xs) {
+                y[o] = self.b[o] + row.iter().zip(x).fold(SUM_START, |a, (w, x)| a + w * x);
+            }
             o += 1;
         }
     }
@@ -107,19 +116,29 @@ impl Layer {
     }
 }
 
-/// Runs `x` through `layers`, writing each layer's output into `acts`
-/// with ReLU applied in place on every layer but the last.
-fn forward_layers(layers: &[Layer], x: &[f64], acts: &mut [Vec<f64>]) {
+/// Runs each of the `K` inputs through `layers` in one pass over the
+/// weights, writing every layer's output for `xs[k]` into `acts[k]` with
+/// ReLU applied in place on every layer but the last.
+fn forward_layers<const K: usize>(
+    layers: &[Layer],
+    xs: [&[f64]; K],
+    mut acts: [&mut [Vec<f64>]; K],
+) {
     let last = layers.len() - 1;
     for (li, layer) in layers.iter().enumerate() {
-        let (done, rest) = acts.split_at_mut(li);
-        let input = done.last().map_or(x, Vec::as_slice);
-        let y = &mut rest[0];
-        layer.forward_into(input, y);
-        if li < last {
-            for v in y.iter_mut() {
-                *v = v.max(0.0);
+        // Lend each output buffer out while the previous layer's output
+        // is read as its input.
+        let mut ys: [Vec<f64>; K] = std::array::from_fn(|k| std::mem::take(&mut acts[k][li]));
+        let inputs: [&[f64]; K] =
+            std::array::from_fn(|k| if li == 0 { xs[k] } else { &acts[k][li - 1] });
+        layer.forward_into(inputs, ys.each_mut().map(Vec::as_mut_slice));
+        for (k, mut y) in ys.into_iter().enumerate() {
+            if li < last {
+                for v in &mut y {
+                    *v = v.max(0.0);
+                }
             }
+            acts[k][li] = y;
         }
     }
 }
@@ -130,6 +149,8 @@ pub struct Mlp {
     layers: Vec<Layer>,
     /// Each layer's output from the last training-path forward pass.
     acts: Vec<Vec<f64>>,
+    /// The same for the TD target's `next_state`, computed alongside.
+    next_acts: Vec<Vec<f64>>,
     /// Backward-pass scratch: dL/d(output) of the current layer, and
     /// dL/d(input) being accumulated from it.
     grad: Vec<f64>,
@@ -145,8 +166,10 @@ impl Mlp {
             Layer::new(hidden, hidden, rng),
             Layer::new(hidden, output, rng),
         ];
+        let acts: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.outputs]).collect();
         Mlp {
-            acts: layers.iter().map(|l| vec![0.0; l.outputs]).collect(),
+            next_acts: acts.clone(),
+            acts,
             grad: Vec::new(),
             grad_in: Vec::new(),
             layers,
@@ -161,7 +184,7 @@ impl Mlp {
     /// The network output for `x`.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         let mut acts: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.outputs]).collect();
-        forward_layers(&self.layers, x, &mut acts);
+        forward_layers(&self.layers, [x], [&mut acts]);
         acts.pop().expect("network has layers")
     }
 
@@ -175,12 +198,25 @@ impl Mlp {
         target: f64,
         learning_rate: f64,
     ) -> f64 {
-        forward_layers(&self.layers, x, &mut self.acts);
+        forward_layers(&self.layers, [x], [&mut self.acts]);
+        self.backward_from_acts(x, action, target, learning_rate)
+    }
+
+    /// The SGD step of [`Mlp::train_on_output`], from the activations of
+    /// `x` already in `self.acts`.
+    fn backward_from_acts(
+        &mut self,
+        x: &[f64],
+        action: usize,
+        target: f64,
+        learning_rate: f64,
+    ) -> f64 {
         let Mlp {
             layers,
             acts,
             grad,
             grad_in,
+            ..
         } = self;
         let out = acts.last().expect("network has layers");
         let error = out[action] - target;
@@ -211,8 +247,10 @@ impl Mlp {
 
     /// One Q-learning update towards the TD target
     /// `reward + gamma · max_a Q(next_state, a)`:
-    /// [`Mlp::train_on_output`] on `state`'s `action`. Allocation-free.
-    /// Returns the pre-update error.
+    /// [`Mlp::train_on_output`] on `state`'s `action`. Allocation-free,
+    /// and `next_state` and `state` share one forward pass over the
+    /// weights, which do not move between the two. Returns the
+    /// pre-update error.
     pub fn td_step(
         &mut self,
         state: &[f64],
@@ -222,11 +260,15 @@ impl Mlp {
         next_state: &[f64],
         learning_rate: f64,
     ) -> f64 {
-        forward_layers(&self.layers, next_state, &mut self.acts);
-        let next_q = self.acts.last().expect("network has layers");
+        forward_layers(
+            &self.layers,
+            [state, next_state],
+            [&mut self.acts, &mut self.next_acts],
+        );
+        let next_q = self.next_acts.last().expect("network has layers");
         let max_next = next_q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let target = reward + gamma * max_next;
-        self.train_on_output(state, action, target, learning_rate)
+        self.backward_from_acts(state, action, target, learning_rate)
     }
 
     /// Every weight and bias, layer by layer, as raw bits.
@@ -526,7 +568,7 @@ mod tests {
             outputs: 9,
         };
         let mut y = vec![1.0; 9];
-        layer.forward_into(&[0.0], &mut y);
+        layer.forward_into([&[0.0]], [&mut y]);
         let expected: Vec<f64> = layer.w.iter().map(|w| -0.0 + w * 0.0).collect();
         assert_eq!(bits(&y), bits(&expected));
         assert!(y[0].is_sign_negative() && y[1].is_sign_positive());
@@ -565,6 +607,89 @@ mod tests {
                 (0..input).map(|_| r.gen_range(-1.0..1.0)).collect()
             };
             check_against_frozen(&mut net, 8, &mut rng, features, 0.005)?;
+        }
+    }
+
+    /// `n` grid values; with `zeros`, only signed zeros, so every product
+    /// is ±0 and whole rows of `-0.0` products come up often; with
+    /// `nan`, one entry replaced by NaN.
+    fn probe_vec(rng: &mut SmallRng, n: usize, zeros: bool, nan: bool) -> Vec<f64> {
+        let mut x = if zeros {
+            (0..n)
+                .map(|_| if rng.gen_bool(0.5) { 0.0 } else { -0.0 })
+                .collect()
+        } else {
+            grid_vec(rng, n)
+        };
+        if nan {
+            x[rng.gen_range(0..n)] = f64::NAN;
+        }
+        x
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_forward_matches_single_passes_bit_for_bit(
+            inputs in 1usize..14,
+            outputs in 1usize..14,
+            seed in any::<u64>(),
+            same in any::<bool>(),
+            zeros in any::<bool>(),
+            nan in any::<bool>()
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let layer = Layer {
+                w: grid_vec(&mut rng, inputs * outputs),
+                b: grid_vec(&mut rng, outputs),
+                inputs,
+                outputs,
+            };
+            let xa = probe_vec(&mut rng, inputs, zeros, nan);
+            let xb = if same {
+                xa.clone()
+            } else {
+                let nan = nan && rng.gen_bool(0.5);
+                probe_vec(&mut rng, inputs, zeros, nan)
+            };
+            let (mut ya, mut yb) = (vec![1.0; outputs], vec![2.0; outputs]);
+            layer.forward_into([&xa, &xb], [&mut ya, &mut yb]);
+            for (x, fused) in [(&xa, &ya), (&xb, &yb)] {
+                let mut single = vec![3.0; outputs];
+                layer.forward_into([x], [&mut single]);
+                prop_assert_eq!(bits(fused), bits(&single));
+                // The naive definition, summed by std.
+                let naive: Vec<f64> = layer
+                    .w
+                    .chunks_exact(inputs)
+                    .zip(&layer.b)
+                    .map(|(row, b)| b + row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>())
+                    .collect();
+                prop_assert_eq!(bits(fused), bits(&naive));
+            }
+        }
+
+        #[test]
+        fn td_steps_with_nan_and_signed_zero_inputs_match_frozen(
+            input in 1usize..14,
+            hidden in 1usize..14,
+            output in 1usize..14,
+            seed in any::<u64>()
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut net = Mlp::new(input, hidden, output, &mut rng);
+            for l in &mut net.layers {
+                l.w = grid_vec(&mut rng, l.w.len());
+                l.b = grid_vec(&mut rng, l.b.len());
+            }
+            // `check_against_frozen` repeats the state as `next_state` in
+            // ~30% of its steps.
+            let probe = |r: &mut SmallRng| {
+                let (zeros, nan) = (r.gen_bool(0.3), r.gen_bool(0.1));
+                probe_vec(r, input, zeros, nan)
+            };
+            check_against_frozen(&mut net, 12, &mut rng, probe, 0.25)?;
         }
     }
 
