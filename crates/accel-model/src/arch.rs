@@ -2,11 +2,10 @@
 
 use crate::ArchError;
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 use tensor_ir::intrinsics::{self, Intrinsic, IntrinsicKind};
 
 /// Interconnection pattern between PEs (the `linkPEs` primitive of Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interconnect {
     /// No PE-to-PE links; all operands come from the scratchpad.
     None,
@@ -27,7 +26,7 @@ impl std::fmt::Display for Interconnect {
 }
 
 /// How tensors are distributed and reused across the PE array \[41\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Outputs stay in PE registers; inputs stream.
     OutputStationary,
@@ -58,7 +57,7 @@ impl std::fmt::Display for Dataflow {
 
 /// Shape of the PE array (`reshapeArray` primitive). A 1-D array has
 /// `rows == 1` or `cols == 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeArray {
     /// Number of PE rows.
     pub rows: u32,
@@ -91,7 +90,7 @@ impl std::fmt::Display for PeArray {
 
 /// A complete spatial accelerator instance (one point of the hardware design
 /// space). Construct through [`AcceleratorConfig::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Display name of the instance.
     pub name: String,

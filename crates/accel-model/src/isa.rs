@@ -6,10 +6,8 @@
 //! interfaces lower to sequences of these instructions; the trace simulator
 //! executes them.
 
-use serde::{Deserialize, Serialize};
-
 /// One accelerator instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// DMA a tile from DRAM into the scratchpad.
     Load {
@@ -45,7 +43,7 @@ pub enum Instr {
 }
 
 /// An instruction stream for one workload.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// The instructions, in program order.
     pub instrs: Vec<Instr>,

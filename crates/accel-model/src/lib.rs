@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod plan;
 pub mod sim;
 pub mod tech;
+mod wire;
 
 pub use arch::{AcceleratorConfig, Dataflow, Interconnect, PeArray};
 pub use backend::{

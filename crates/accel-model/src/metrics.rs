@@ -1,9 +1,7 @@
 //! Performance metrics returned by the cost model and the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency, power, area, and derived metrics of one evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// End-to-end latency in accelerator cycles.
     pub latency_cycles: f64,

@@ -8,10 +8,8 @@
 //! rearrangement bytes (im2col-style conversions or transposed tensorize
 //! choices).
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM traffic of one tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TensorTraffic {
     /// Tensor name (for reports).
     pub tensor: String,
@@ -34,7 +32,7 @@ impl TensorTraffic {
 }
 
 /// The priced summary of one workload mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// Total hardware-intrinsic invocations.
     pub intrinsic_calls: u64,

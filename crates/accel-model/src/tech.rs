@@ -4,10 +4,8 @@
 //! matters for reproducing the paper's trends (who wins, where crossovers
 //! fall); the constants are deliberately round numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-operation energy and per-unit area constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechParams {
     /// Energy per multiply-accumulate, picojoules.
     pub e_mac_pj: f64,

@@ -27,6 +27,7 @@ use dse::staged::AdaptiveTopK;
 use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
+use runtime::wire::{from_bytes, Wire};
 use runtime::{
     resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, TierRecorder,
     WorkerPool,
@@ -673,9 +674,7 @@ impl<'a> HwProblem<'a> {
     /// number of entries loaded; a missing or corrupted file is a clean
     /// cold start (0).
     pub fn load_cache(&self, path: &std::path::Path) -> u64 {
-        self.memo
-            .load_from_file(path, Self::decode_cache_entry)
-            .unwrap_or(0)
+        self.memo.load_from_file(path, from_bytes).unwrap_or(0)
     }
 
     /// Persists the evaluation cache for future runs, merging
@@ -703,63 +702,10 @@ impl<'a> HwProblem<'a> {
     ) -> std::io::Result<u64> {
         self.memo.save_merged_with_max_age(
             path,
-            Self::encode_cache_entry,
-            Self::decode_cache_entry,
+            |k, v, out| (*k, *v).encode(out),
+            from_bytes,
             max_age,
         )
-    }
-
-    pub(crate) fn encode_cache_entry(key: &(u64, u64), value: &Option<Metrics>, out: &mut Vec<u8>) {
-        out.extend_from_slice(&key.0.to_le_bytes());
-        out.extend_from_slice(&key.1.to_le_bytes());
-        match value {
-            None => out.push(0),
-            Some(m) => {
-                out.push(1);
-                for f in [
-                    m.latency_cycles,
-                    m.latency_ms,
-                    m.energy_uj,
-                    m.power_mw,
-                    m.area_mm2,
-                    m.throughput_mops,
-                    m.utilization,
-                ] {
-                    out.extend_from_slice(&f.to_bits().to_le_bytes());
-                }
-            }
-        }
-    }
-
-    pub(crate) fn decode_cache_entry(bytes: &[u8]) -> Option<((u64, u64), Option<Metrics>)> {
-        let key = (
-            u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?),
-            u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?),
-        );
-        match *bytes.get(16)? {
-            0 if bytes.len() == 17 => Some((key, None)),
-            1 if bytes.len() == 17 + 7 * 8 => {
-                let mut f = [0.0f64; 7];
-                for (i, slot) in f.iter_mut().enumerate() {
-                    let at = 17 + i * 8;
-                    *slot =
-                        f64::from_bits(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
-                }
-                Some((
-                    key,
-                    Some(Metrics {
-                        latency_cycles: f[0],
-                        latency_ms: f[1],
-                        energy_uj: f[2],
-                        power_mw: f[3],
-                        area_mm2: f[4],
-                        throughput_mops: f[5],
-                        utilization: f[6],
-                    }),
-                ))
-            }
-            _ => None,
-        }
     }
 
     /// Evaluates an accelerator on all workloads (summed latency) — the

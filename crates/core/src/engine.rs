@@ -50,15 +50,17 @@ use std::sync::mpsc::Sender;
 
 use accel_model::tech::TechParams;
 use accel_model::{BackendKind, CostBackend, Metrics, SurrogateBackend, SurrogateSnapshot};
+use runtime::wire::{from_bytes, to_bytes, Wire};
 use runtime::{
     persist, Fingerprinter, JobScheduler, MemoCache, StableFingerprint, Telemetry,
     TelemetrySnapshot,
 };
 
-use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome, HwProblem};
+use crate::codesign::{execute, CoDesignOptions, ExecCtx, ExecOutcome};
 use crate::event::{CampaignEvent, CampaignEvents, EventSink, EventStream, RunEvent};
 use crate::input::InputDescription;
 use crate::solution::Solution;
+use crate::wire::SurrogateStore;
 use crate::HascoError;
 
 /// Locks an engine mutex, recovering from poisoning instead of
@@ -411,21 +413,14 @@ impl EngineShared {
                 }
             }
         }
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(merged.len() as u64).to_le_bytes());
-        for snap in merged.values() {
-            let mut entry = Vec::new();
-            snap.encode_into(&mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&entry);
-        }
-        if let Err(e) = persist::save_frame(path, SURROGATE_STORE_MAGIC, &payload) {
+        let store = SurrogateStore(merged.into_values().collect());
+        if let Err(e) = persist::save_frame(path, SURROGATE_STORE_MAGIC, &to_bytes(&store)) {
             // The registry still holds unsaved state.
             // detlint-allow(atomics): failed save re-raises the flag; worst case is an extra save attempt
             self.surrogate_dirty.store(true, Ordering::Relaxed);
             return Err(e);
         }
-        Ok(merged.len())
+        Ok(store.0.len())
     }
 }
 
@@ -437,17 +432,7 @@ const SURROGATE_STORE_MAGIC: &[u8; 8] = b"HASCOSR1";
 /// a store that cannot be read is a cold start, never an error).
 fn load_surrogate_snapshots(path: &std::path::Path) -> Option<Vec<SurrogateSnapshot>> {
     let payload = persist::load_frame(path, SURROGATE_STORE_MAGIC).ok()??;
-    let mut rest = payload.as_slice();
-    let count = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-    rest = rest.get(8..)?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-        rest = rest.get(4..)?;
-        out.push(SurrogateSnapshot::decode(rest.get(..len)?)?);
-        rest = rest.get(len..)?;
-    }
-    rest.is_empty().then_some(out)
+    from_bytes::<SurrogateStore>(&payload).map(|store| store.0)
 }
 
 /// Registry key for surrogate state: the technology constants (the only
@@ -605,7 +590,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let store = MemoCache::new(config.cache_capacity);
         if let Some(path) = &config.cache_path {
-            let _ = store.load_from_file(path, HwProblem::decode_cache_entry);
+            let _ = store.load_from_file(path, from_bytes);
         }
         let mut surrogates: BTreeMap<(u64, u64), Arc<dyn CostBackend>> = BTreeMap::new();
         let mut restored_generation = 0;
@@ -979,8 +964,8 @@ impl Engine {
                 .store
                 .save_merged_with_max_age(
                     path,
-                    HwProblem::encode_cache_entry,
-                    HwProblem::decode_cache_entry,
+                    |k, v, out| (*k, *v).encode(out),
+                    from_bytes,
                     self.shared.cache_max_age,
                 )
                 // detlint-allow(atomics): cleared only after a successful save; a racing insert re-raises it

@@ -1,13 +1,12 @@
 //! Input descriptions (the left box of the paper's Fig. 3): workloads,
 //! hardware generation method, and constraints.
 
-use serde::{Deserialize, Serialize};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::workload::TensorApp;
 
 /// User constraints on the holistic solution (the paper's examples:
 /// "latency: 10 ms, power: 15 watt").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Constraints {
     /// Maximum end-to-end latency in milliseconds.
     pub max_latency_ms: Option<f64>,
@@ -52,7 +51,7 @@ impl Constraints {
 }
 
 /// Which generator builds the accelerator (Fig. 3's "Hardware Generation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenerationMethod {
     /// The built-in Chisel generator with the given intrinsic.
     Chisel(IntrinsicKind),

@@ -48,6 +48,7 @@ pub mod remote;
 pub mod report;
 pub mod solution;
 pub mod tuning;
+mod wire;
 
 pub use codesign::{CoDesignOptions, CoDesigner, OptimizerKind};
 pub use engine::{CampaignOutcome, CoDesignRequest, Engine, EngineConfig, JobHandle};

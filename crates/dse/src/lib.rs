@@ -46,6 +46,7 @@ pub mod problem;
 pub mod progress;
 pub mod random;
 pub mod staged;
+mod wire;
 
 pub use problem::{Evaluation, EvaluatorProblem, OptimizerResult, Point, Problem, SearchSpace};
 pub use progress::{BatchUpdate, NoProgress, Progress};

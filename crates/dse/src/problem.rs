@@ -1,7 +1,6 @@
 //! Problem abstraction shared by all DSE algorithms.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::hypervolume::{hypervolume_with, HvScratch};
 use crate::pareto;
@@ -10,7 +9,7 @@ use crate::pareto;
 pub type Point = Vec<usize>;
 
 /// A discrete search space described by its per-dimension cardinalities.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     /// Number of choices in each dimension.
     pub dim_sizes: Vec<usize>,
@@ -166,7 +165,7 @@ where
 }
 
 /// One recorded evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// The evaluated point.
     pub point: Point,
@@ -175,7 +174,7 @@ pub struct Evaluation {
 }
 
 /// The full history of an optimizer run, in evaluation order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OptimizerResult {
     /// Optimizer name.
     pub optimizer: String,

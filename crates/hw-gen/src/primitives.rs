@@ -6,11 +6,10 @@
 //! parameters) compose the design space."
 
 use accel_model::{AcceleratorConfig, Dataflow, Interconnect};
-use serde::{Deserialize, Serialize};
 use tensor_ir::intrinsics::IntrinsicKind;
 
 /// One parametric hardware primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HwPrimitive {
     /// `reshapeArray(x, y)` — organize PEs into a 2-D array (1-D if a
     /// dimension is 1). Also fixes the intrinsic size.
@@ -73,7 +72,7 @@ impl std::fmt::Display for HwPrimitive {
 
 /// An accelerator described as a primitive sequence (the paper's
 /// `acc = createArch(method, intrinsic)` object).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchDescription {
     /// Generation method name (`"chisel"`, `"gemmini"`, ...).
     pub method: String,

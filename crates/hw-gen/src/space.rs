@@ -6,12 +6,11 @@
 
 use accel_model::AcceleratorConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::GenError;
 
 /// One discrete parameter dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamDim {
     /// Parameter name (`"pe_rows"`, `"spad_kb"`, ...).
     pub name: String,
@@ -44,7 +43,7 @@ impl ParamDim {
 pub type DesignPoint = Vec<usize>;
 
 /// A discrete hardware design space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HwDesignSpace {
     /// The dimensions, in decode order.
     pub dims: Vec<ParamDim>,

@@ -36,6 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::wire::{Reader, Wire};
+
 const SHARDS: usize = 16;
 
 /// File magic + format version for persisted caches. Version 2 added a
@@ -335,17 +337,17 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         for (k, v, stamp) in entries {
             let mut entry = Vec::new();
             encode(k, v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&stamp.to_le_bytes());
+            (entry.len() as u32).encode(&mut payload);
+            stamp.encode(&mut payload);
             payload.extend_from_slice(&entry);
         }
         let mut file = Vec::with_capacity(payload.len() + 32);
         file.extend_from_slice(PERSIST_MAGIC);
-        file.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        entries.len().encode(&mut file);
         file.extend_from_slice(&payload);
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(&payload);
-        file.extend_from_slice(&fp.finish().0.to_le_bytes());
+        fp.finish().0.encode(&mut file);
         file
     }
 
@@ -508,54 +510,34 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoCache<K, V> {
         bytes: &[u8],
         decode: &mut impl FnMut(&[u8]) -> Option<(K, V)>,
     ) -> Option<Vec<(K, V, u64)>> {
-        let magic_len = PERSIST_MAGIC.len();
-        let header = magic_len + 8;
-        if bytes.len() < header + 8 {
-            return None;
-        }
-        let stamped = match &bytes[..magic_len] {
+        let mut r = Reader::new(bytes);
+        let stamped = match r.take(PERSIST_MAGIC.len())? {
             m if m == PERSIST_MAGIC => true,
             m if m == PERSIST_MAGIC_V1 => false,
             _ => return None,
         };
-        let count = u64::from_le_bytes(bytes[magic_len..header].try_into().ok()?);
-        let payload = &bytes[header..bytes.len() - 8];
-        let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().ok()?);
+        let count = u64::decode(&mut r)?;
+        let payload = r.take(r.remaining().checked_sub(8)?)?;
+        let stored_sum = u64::decode(&mut r)?;
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(payload);
         if fp.finish().0 != stored_sum {
             return None;
         }
         let mut entries = Vec::new();
-        let mut rest = payload;
+        let mut r = Reader::new(payload);
         let fallback_stamp = now_secs();
         for _ in 0..count {
-            if rest.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-            rest = &rest[4..];
+            let len = u32::decode(&mut r)?;
             let stamp = if stamped {
-                if rest.len() < 8 {
-                    return None;
-                }
-                let s = u64::from_le_bytes(rest[..8].try_into().ok()?);
-                rest = &rest[8..];
-                s
+                u64::decode(&mut r)?
             } else {
                 fallback_stamp
             };
-            if rest.len() < len {
-                return None;
-            }
-            let (k, v) = decode(&rest[..len])?;
+            let (k, v) = decode(r.take(len as usize)?)?;
             entries.push((k, v, stamp));
-            rest = &rest[len..];
         }
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(entries)
+        r.is_exhausted().then_some(entries)
     }
 
     /// Snapshot of the counters, summed across shards.
@@ -684,18 +666,11 @@ mod tests {
     }
 
     fn encode_u64_pair(k: &u64, v: &u64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
+        (*k, *v).encode(out);
     }
 
     fn decode_u64_pair(bytes: &[u8]) -> Option<(u64, u64)> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        Some((
-            u64::from_le_bytes(bytes[..8].try_into().ok()?),
-            u64::from_le_bytes(bytes[8..].try_into().ok()?),
-        ))
+        crate::wire::from_bytes(bytes)
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -747,16 +722,16 @@ mod tests {
         for (k, v) in [(1u64, 10u64), (2, 20)] {
             let mut entry = Vec::new();
             encode_u64_pair(&k, &v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+            (entry.len() as u32).encode(&mut payload);
             payload.extend_from_slice(&entry);
         }
         let mut image = Vec::new();
         image.extend_from_slice(PERSIST_MAGIC_V1);
-        image.extend_from_slice(&2u64.to_le_bytes());
+        2u64.encode(&mut image);
         image.extend_from_slice(&payload);
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(&payload);
-        image.extend_from_slice(&fp.finish().0.to_le_bytes());
+        fp.finish().0.encode(&mut image);
 
         let path = temp_path("v1");
         std::fs::write(&path, &image).unwrap();
@@ -799,17 +774,17 @@ mod tests {
         for (k, v) in [(1u64, 10u64), (2, 20)] {
             let mut entry = Vec::new();
             encode_u64_pair(&k, &v, &mut entry);
-            payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&future.to_le_bytes());
+            (entry.len() as u32).encode(&mut payload);
+            future.encode(&mut payload);
             payload.extend_from_slice(&entry);
         }
         let mut image = Vec::new();
         image.extend_from_slice(PERSIST_MAGIC);
-        image.extend_from_slice(&2u64.to_le_bytes());
+        2u64.encode(&mut image);
         image.extend_from_slice(&payload);
         let mut fp = crate::Fingerprinter::new();
         fp.write_bytes(&payload);
-        image.extend_from_slice(&fp.finish().0.to_le_bytes());
+        fp.finish().0.encode(&mut image);
 
         let path = temp_path("future");
         std::fs::write(&path, &image).unwrap();

@@ -20,6 +20,8 @@
 //! * [`persist`] — shared warm-state image machinery (atomic replacement,
 //!   checksummed framing, corruption-tolerant loading) used by the memo
 //!   cache and the engine's surrogate-registry store;
+//! * [`wire`] — the one binary codec ([`wire::Wire`]) behind every wire
+//!   message and every persisted image;
 //! * [`telemetry`] — out-of-band wall-clock spans, counters, gauges, and
 //!   histograms ([`Telemetry`]), a side channel that observes the
 //!   pipeline without ever feeding back into results.
@@ -66,6 +68,7 @@ pub mod jobs;
 pub mod persist;
 pub mod pool;
 pub mod telemetry;
+pub mod wire;
 
 pub use batch::BatchEvaluator;
 pub use cache::{CacheStats, MemoCache};

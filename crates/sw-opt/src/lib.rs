@@ -38,6 +38,7 @@ pub mod nn;
 pub mod primitives;
 pub mod qlearn;
 pub mod schedule;
+mod wire;
 
 pub use explorer::{ExplorerOptions, OptimizedSoftware, SoftwareExplorer};
 pub use schedule::Schedule;

@@ -7,11 +7,10 @@
 //! the sequence view of a schedule (the paper's Fig. 5(c)) used by reports,
 //! code generation, and tests.
 
-use serde::{Deserialize, Serialize};
 use tensor_ir::IndexId;
 
 /// One software primitive with its factors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwPrimitive {
     /// Split a loop into an outer tile loop and an inner (tensorized) loop.
     Split {
@@ -67,7 +66,7 @@ impl std::fmt::Display for SwPrimitive {
 }
 
 /// A primitive sequence — the skeleton plus factors of one optimization.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PrimitiveSequence {
     /// The primitives in application order.
     pub primitives: Vec<SwPrimitive>,

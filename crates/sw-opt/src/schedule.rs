@@ -6,7 +6,6 @@
 //! outer software loops, and how many outermost loops are fused.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tensor_ir::intrinsics::Intrinsic;
 use tensor_ir::matching::{find_tensorize_choices, MatchOptions, TensorizeChoice};
@@ -23,7 +22,7 @@ pub const MAX_DIMS: usize = 8;
 pub const NUM_REVISIONS: usize = 2 * MAX_DIMS + (MAX_DIMS - 1) + 3;
 
 /// A concrete software optimization for one workload on one accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// The tensorize choice (HW/SW partitioning) this schedule uses.
     pub choice: TensorizeChoice,

@@ -13,11 +13,10 @@
 use crate::index::{IndexId, IndexKind, IndexVar};
 use crate::IrError;
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 
 /// One dimension of a tensor access: a sum of loop variables with unit
 /// coefficients, e.g. `x + r` in `A[c, x + r, y + s]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AffineDim {
     /// The loop variables summed to form this subscript.
     pub terms: Vec<IndexId>,
@@ -43,7 +42,7 @@ impl AffineDim {
 }
 
 /// A tensor access: tensor name plus one [`AffineDim`] per dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Name of the accessed tensor (`"A"`, `"B"`, ...).
     pub tensor: String,
@@ -112,7 +111,7 @@ impl StableFingerprint for Access {
 ///     .unwrap();
 /// assert_eq!(comp.indices.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Computation {
     /// Name of the computation (used in reports and generated code).
     pub name: String,

@@ -9,7 +9,6 @@
 //! results (choice #2 of Fig. 4 in the paper).
 
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an index variable within one [`Computation`].
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// [`Computation`]: crate::expr::Computation
 /// [`Computation::indices`]: crate::expr::Computation::indices
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IndexId(pub usize);
 
 impl std::fmt::Display for IndexId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for IndexId {
 }
 
 /// Whether a loop variable is parallel (spatial) or contracted (reduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// The index appears in the output tensor; iterations are independent.
     Spatial,
@@ -54,7 +53,7 @@ impl std::fmt::Display for IndexKind {
 /// assert_eq!(k.extent, 64);
 /// assert_eq!(k.kind, IndexKind::Spatial);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IndexVar {
     /// Human-readable loop name (`"k"`, `"x"`, ...).
     pub name: String,

@@ -8,10 +8,9 @@
 
 use crate::expr::Computation;
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 
 /// The intrinsic families supported by HASCO's generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IntrinsicKind {
     /// `C = Σ_i A[i] * B[i]`
     Dot,
@@ -61,7 +60,7 @@ impl std::fmt::Display for IntrinsicKind {
 }
 
 /// A hardware intrinsic: a kind plus its computation (with fixed extents).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Intrinsic {
     /// The intrinsic family.
     pub kind: IntrinsicKind,

@@ -25,6 +25,7 @@ pub mod intrinsics;
 pub mod matching;
 pub mod suites;
 pub mod tst;
+mod wire;
 pub mod workload;
 
 pub use expr::{Access, AffineDim, Computation};

@@ -33,7 +33,6 @@ use crate::expr::Computation;
 use crate::index::IndexId;
 use crate::tst::{Tst, TstOp};
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Options controlling the matcher.
@@ -76,7 +75,7 @@ impl MatchOptions {
 
 /// A legal way to decompose a computation into sub-workloads executed by a
 /// hardware intrinsic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorizeChoice {
     /// Name of the matched intrinsic computation.
     pub intrinsic: String,

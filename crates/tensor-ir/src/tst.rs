@@ -8,10 +8,9 @@
 
 use crate::expr::Computation;
 use crate::index::IndexId;
-use serde::{Deserialize, Serialize};
 
 /// Operation carried by an internal TST node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TstOp {
     /// Reduction over one or more indices (the `Σ` at the root).
     Sum,
@@ -35,7 +34,7 @@ impl std::fmt::Display for TstOp {
 }
 
 /// One node of a [`Tst`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TstNode {
     /// An operation node.
     Internal {
@@ -66,7 +65,7 @@ pub enum TstNode {
 /// let tst = Tst::from_computation(&gemm);
 /// assert_eq!(tst.leaves().len(), 4); // i, k, k, j
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tst {
     nodes: Vec<TstNode>,
     root: usize,

@@ -8,10 +8,9 @@
 use crate::complexity;
 use crate::expr::Computation;
 use runtime::{Fingerprinter, StableFingerprint};
-use serde::{Deserialize, Serialize};
 
 /// A concrete tensor computation instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Unique name within its application (e.g. `"resnet_conv3_2"`).
     pub name: String,
@@ -65,7 +64,7 @@ impl std::fmt::Display for Workload {
 }
 
 /// A tensor application: a set of workloads sharing one accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TensorApp {
     /// Application name (e.g. `"resnet50"`).
     pub name: String,
