@@ -28,10 +28,7 @@ use dse::Optimizer;
 use hw_gen::space::Generator;
 use hw_gen::{ChiselGenerator, GemminiGenerator};
 use runtime::wire::{from_bytes, Wire};
-use runtime::{
-    resolve_threads, Fingerprinter, MemoCache, StableFingerprint, Telemetry, TierRecorder,
-    WorkerPool,
-};
+use runtime::{resolve_threads, Fingerprinter, MemoCache, Telemetry, TierRecorder, WorkerPool};
 use sw_opt::explorer::{ExplorerOptions, SoftwareExplorer};
 use tensor_ir::intrinsics::IntrinsicKind;
 use tensor_ir::workload::Workload;
@@ -463,7 +460,7 @@ impl<'a> HwProblem<'a> {
     ) -> Self {
         let dim_sizes = generator.space().dims.iter().map(|d| d.len()).collect();
         let explorer = SoftwareExplorer::new(seed);
-        let pair_bases = Self::make_bases(workloads, &sw_opts, seed, &explorer);
+        let pair_bases = Self::make_bases(workloads, &sw_opts, &explorer);
         let screen_fp = explorer.backend_fingerprint();
         HwProblem {
             generator,
@@ -488,31 +485,18 @@ impl<'a> HwProblem<'a> {
         }
     }
 
-    /// Builds the per-workload fingerprint bases for one explorer tier.
-    /// The explorer's cost backend is part of the key: different backends
-    /// legitimately produce different metrics for the same pair.
+    /// Builds the per-workload fingerprint bases for one explorer tier
+    /// ([`SoftwareExplorer::key_base`]). The explorer's cost backend is
+    /// part of the key: different backends legitimately produce
+    /// different metrics for the same pair.
     fn make_bases(
         workloads: &[Workload],
         sw_opts: &ExplorerOptions,
-        seed: u64,
         explorer: &SoftwareExplorer,
     ) -> Vec<(Fingerprinter, Fingerprinter)> {
-        let backend_fp = explorer.backend_fingerprint();
         workloads
             .iter()
-            .map(|w| {
-                let mut lo = Fingerprinter::new();
-                let mut hi = Fingerprinter::new();
-                // Distinct prefixes give the two lanes independent states.
-                hi.write_u64(0x9e3779b97f4a7c15);
-                for fp in [&mut lo, &mut hi] {
-                    w.fingerprint_into(fp);
-                    sw_opts.fingerprint_into(fp);
-                    fp.write_u64(seed);
-                    fp.write_u64(backend_fp.0);
-                }
-                (lo, hi)
-            })
+            .map(|w| explorer.key_base(w, sw_opts))
             .collect()
     }
 
@@ -532,8 +516,7 @@ impl<'a> HwProblem<'a> {
     /// Screens every candidate evaluation through the given cost backend.
     pub fn with_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
         self.explorer = SoftwareExplorer::new(self.seed).with_backend(backend);
-        self.pair_bases =
-            Self::make_bases(self.workloads, &self.sw_opts, self.seed, &self.explorer);
+        self.pair_bases = Self::make_bases(self.workloads, &self.sw_opts, &self.explorer);
         self.screen_fp = self.explorer.backend_fingerprint();
         self
     }
@@ -547,7 +530,7 @@ impl<'a> HwProblem<'a> {
             return self;
         }
         let explorer = SoftwareExplorer::new(self.seed).with_backend(backend);
-        let bases = Self::make_bases(self.workloads, &self.sw_opts, self.seed, &explorer);
+        let bases = Self::make_bases(self.workloads, &self.sw_opts, &explorer);
         self.refine = Some(RefineTier {
             explorer,
             top_k,
@@ -614,8 +597,7 @@ impl<'a> HwProblem<'a> {
     fn refresh_screen_bases(&mut self) {
         let fp = self.explorer.backend_fingerprint();
         if fp != self.screen_fp {
-            self.pair_bases =
-                Self::make_bases(self.workloads, &self.sw_opts, self.seed, &self.explorer);
+            self.pair_bases = Self::make_bases(self.workloads, &self.sw_opts, &self.explorer);
             self.screen_fp = fp;
         }
     }
@@ -726,20 +708,6 @@ impl<'a> HwProblem<'a> {
         Some(Metrics::sequential(&parts))
     }
 
-    /// Stable 128-bit memoization key for one (accelerator, workload)
-    /// evaluation: the precomputed (workload, options, seed, backend)
-    /// bases extended by the accelerator config.
-    fn pair_key(
-        bases: &[(Fingerprinter, Fingerprinter)],
-        cfg: &AcceleratorConfig,
-        workload_idx: usize,
-    ) -> (u64, u64) {
-        let (mut lo, mut hi) = bases[workload_idx].clone();
-        cfg.fingerprint_into(&mut lo);
-        cfg.fingerprint_into(&mut hi);
-        (lo.finish().0, hi.finish().0)
-    }
-
     /// Total (design point, workload) evaluations requested through the
     /// screen tier so far.
     pub fn sw_requests(&self) -> usize {
@@ -803,7 +771,7 @@ impl<'a> HwProblem<'a> {
         let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
         for ((ci, cfg), per_workload) in configs.iter().enumerate().zip(results.iter_mut()) {
             for (wi, slot) in per_workload.iter_mut().enumerate() {
-                let key = Self::pair_key(bases, cfg, wi);
+                let key = SoftwareExplorer::exploration_key(&bases[wi], cfg);
                 // Duplicates of a key already dispatched in this batch
                 // skip the memo probe: they are resolved (and counted as
                 // hits) once the first occurrence has been computed.

@@ -8,7 +8,7 @@ use accel_model::{AnalyticBackend, CostBackend, CostModel, Metrics};
 use dse::progress::{BatchUpdate, Progress};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use runtime::{Fingerprint, Fingerprinter, StableFingerprint, WorkerPool};
+use runtime::{Fingerprint, Fingerprinter, MemoCache, StableFingerprint, WorkerPool};
 use tensor_ir::matching::TensorizeChoice;
 use tensor_ir::workload::Workload;
 
@@ -73,12 +73,21 @@ pub struct OptimizedSoftware {
     pub metrics: Metrics,
     /// Best latency after each round (convergence curve).
     pub history: Vec<f64>,
-    /// Total schedules evaluated.
+    /// Schedules evaluated by the exploration that produced this result.
+    /// A memoized result (see [`SoftwareExplorer::optimize`]) carries the
+    /// count of the original exploration, not work done by the call.
     pub evaluated: usize,
 }
 
-/// The software explorer; owns the RNG seed and the shared Q-network
-/// ("the DQN is reused for all design points in a software space").
+/// Completed explorations one [`SoftwareExplorer`] keeps: ample for the
+/// 55 distinct conv shapes of ResNet-50, MobileNet and Xception on
+/// several cores, and small next to the explorations it saves.
+const MEMO_CAPACITY: usize = 1024;
+
+/// The software explorer: owns the RNG seed, the cost backend and a
+/// bounded memo of completed explorations. Every exploration trains a
+/// fresh Q-learner; an exploration repeated on the same explorer returns
+/// the first one's result (see [`SoftwareExplorer::optimize`]).
 ///
 /// Schedule pricing dispatches through a pluggable [`CostBackend`]
 /// ([`SoftwareExplorer::with_backend`]), defaulting to the fast analytic
@@ -96,6 +105,8 @@ pub struct SoftwareExplorer {
     /// Optional per-round progress observer (see
     /// [`SoftwareExplorer::with_progress`]).
     progress: Option<Arc<dyn Progress>>,
+    /// Completed explorations by [`SoftwareExplorer::exploration_key`].
+    memo: Arc<MemoCache<(u64, u64), OptimizedSoftware>>,
 }
 
 impl SoftwareExplorer {
@@ -107,6 +118,7 @@ impl SoftwareExplorer {
             backend: Arc::new(AnalyticBackend::default()),
             workers: WorkerPool::serial(),
             progress: None,
+            memo: Arc::new(MemoCache::new(MEMO_CAPACITY)),
         }
     }
 
@@ -131,6 +143,43 @@ impl SoftwareExplorer {
         let mut fp = Fingerprinter::new();
         self.backend.fingerprint_into(&mut fp);
         fp.finish()
+    }
+
+    /// The (workload, options, seed, backend) prefix of an exploration's
+    /// memo key, as two independently seeded fingerprint lanes;
+    /// [`SoftwareExplorer::exploration_key`] completes it with the
+    /// accelerator. Display names are not part of it. The backend
+    /// fingerprint is read now, so a surrogate's next training
+    /// generation keys new entries.
+    pub fn key_base(
+        &self,
+        workload: &Workload,
+        opts: &ExplorerOptions,
+    ) -> (Fingerprinter, Fingerprinter) {
+        let backend_fp = self.backend_fingerprint();
+        let mut lo = Fingerprinter::new();
+        let mut hi = Fingerprinter::new();
+        // Distinct prefixes give the two lanes independent states.
+        hi.write_u64(0x9e3779b97f4a7c15);
+        for fp in [&mut lo, &mut hi] {
+            workload.fingerprint_into(fp);
+            opts.fingerprint_into(fp);
+            fp.write_u64(self.seed);
+            fp.write_u64(backend_fp.0);
+        }
+        (lo, hi)
+    }
+
+    /// Stable 128-bit key of one exploration: a
+    /// [`SoftwareExplorer::key_base`] extended by the accelerator config.
+    pub fn exploration_key(
+        base: &(Fingerprinter, Fingerprinter),
+        cfg: &AcceleratorConfig,
+    ) -> (u64, u64) {
+        let (mut lo, mut hi) = base.clone();
+        cfg.fingerprint_into(&mut lo);
+        cfg.fingerprint_into(&mut hi);
+        (lo.finish().0, hi.finish().0)
     }
 
     /// Evaluates candidate pools and per-round revision batches on the
@@ -160,13 +209,22 @@ impl SoftwareExplorer {
     /// called from the thread driving [`SoftwareExplorer::optimize`], in
     /// round order, so observations never depend on worker scheduling.
     /// Observation changes neither the trajectory nor the result of a
-    /// completed run.
+    /// completed run. A stopped run is not memoized; a memoized result
+    /// (see [`SoftwareExplorer::optimize`]) reports no rounds.
     pub fn with_progress(mut self, progress: Arc<dyn Progress>) -> Self {
         self.progress = Some(progress);
         self
     }
 
     /// Optimizes one workload for one accelerator.
+    ///
+    /// An exploration is a pure function of its
+    /// [`SoftwareExplorer::exploration_key`], so a completed one is
+    /// memoized: repeating it on this explorer — a network's repeated
+    /// layer shape, say, under any display name — returns a clone of the
+    /// first result, `history` and `evaluated` included, without running
+    /// again or reporting rounds to the progress observer. Racing
+    /// duplicates may each explore once; both get the same result.
     ///
     /// # Errors
     /// Returns [`SwError`] when no tensorize choice exists or no valid
@@ -177,6 +235,25 @@ impl SoftwareExplorer {
         cfg: &AcceleratorConfig,
         opts: &ExplorerOptions,
     ) -> Result<OptimizedSoftware, SwError> {
+        let key = Self::exploration_key(&self.key_base(workload, opts), cfg);
+        if let Some(done) = self.memo.get(&key) {
+            return Ok(done);
+        }
+        let (result, completed) = self.explore(workload, cfg, opts)?;
+        if completed {
+            self.memo.insert(key, result.clone());
+        }
+        Ok(result)
+    }
+
+    /// Runs one exploration; the flag is `false` when the progress
+    /// observer stopped it before its last round.
+    fn explore(
+        &self,
+        workload: &Workload,
+        cfg: &AcceleratorConfig,
+        opts: &ExplorerOptions,
+    ) -> Result<(OptimizedSoftware, bool), SwError> {
         let intrinsic = cfg.intrinsic_comp();
         let mut ctx = ScheduleContext::new(workload, &intrinsic)?;
         if let Some(choice) = &opts.fixed_choice {
@@ -198,6 +275,7 @@ impl SoftwareExplorer {
         let mut qlearner = QLearner::new(self.seed ^ 0x9e3779b97f4a7c15);
         let mut history = Vec::with_capacity(opts.rounds);
         let mut evaluated = pool.len();
+        let mut completed = true;
 
         for round in 0..opts.rounds {
             let top = pool.top_k(opts.top_k);
@@ -284,18 +362,20 @@ impl SoftwareExplorer {
                     feasible,
                 });
                 if !keep_going {
+                    completed = false;
                     break;
                 }
             }
         }
 
         let best = pool.best().clone();
-        Ok(OptimizedSoftware {
+        let result = OptimizedSoftware {
             schedule: best.schedule,
             metrics: best.metrics,
             history,
             evaluated,
-        })
+        };
+        Ok((result, completed))
     }
 
     /// Optimizes and returns only the best metrics (the hardware DSE's
@@ -400,6 +480,17 @@ mod tests {
         .map(f64::to_bits)
     }
 
+    /// Asserts that two explorations agree bit for bit: schedule,
+    /// metrics, history and evaluated count.
+    fn assert_same_exploration(a: &OptimizedSoftware, b: &OptimizedSoftware, case: &str) {
+        assert_eq!(a.schedule, b.schedule, "{case}");
+        assert_eq!(metric_bits(&a.metrics), metric_bits(&b.metrics), "{case}");
+        let bits =
+            |r: &OptimizedSoftware| -> Vec<u64> { r.history.iter().map(|l| l.to_bits()).collect() };
+        assert_eq!(bits(a), bits(b), "{case}");
+        assert_eq!(a.evaluated, b.evaluated, "{case}");
+    }
+
     /// Explores one conv layer with `backend` on pools of 1, 2 and 4
     /// threads and asserts that every run matches the serial one bit for
     /// bit. At `top_k >= 4` every round's revision batch has several
@@ -427,20 +518,10 @@ mod tests {
                 (threads, r, pool.stats().batches)
             });
             let serial = &runs[0].1;
-            let history = |r: &OptimizedSoftware| -> Vec<u64> {
-                r.history.iter().map(|l| l.to_bits()).collect()
-            };
             for (threads, r, batches) in &runs {
                 let case =
                     format!("{tier}, top_k {top_k}, qlearning {use_qlearning}, {threads} threads");
-                assert_eq!(r.schedule, serial.schedule, "{case}");
-                assert_eq!(
-                    metric_bits(&r.metrics),
-                    metric_bits(&serial.metrics),
-                    "{case}"
-                );
-                assert_eq!(history(r), history(serial), "{case}");
-                assert_eq!(r.evaluated, serial.evaluated, "{case}");
+                assert_same_exploration(r, serial, &case);
                 if cheap {
                     assert_eq!(*batches, 0, "{case}: a cheap tier prices inline");
                 } else {
@@ -581,11 +662,177 @@ mod tests {
 
     #[test]
     fn best_metrics_matches_optimize() {
+        // A fresh explorer for each, so both calls really explore.
         let wl = suites::gemm_workload("g", 128, 128, 128);
-        let e = SoftwareExplorer::new(2);
-        let m = e.best_metrics(&wl, &cfg(), &quick_opts()).unwrap();
-        let o = e.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        let m = SoftwareExplorer::new(2)
+            .best_metrics(&wl, &cfg(), &quick_opts())
+            .unwrap();
+        let o = SoftwareExplorer::new(2)
+            .optimize(&wl, &cfg(), &quick_opts())
+            .unwrap();
         assert_eq!(m.latency_cycles, o.metrics.latency_cycles);
+    }
+
+    /// A pricing tier that counts its calls and otherwise behaves exactly
+    /// like the tier it wraps.
+    #[derive(Debug)]
+    struct CountingBackend {
+        inner: Arc<dyn CostBackend>,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingBackend {
+        fn wrap(inner: Arc<dyn CostBackend>) -> Arc<Self> {
+            Arc::new(CountingBackend {
+                inner,
+                calls: Default::default(),
+            })
+        }
+
+        /// Pricing calls since the last `take`.
+        fn take(&self) -> usize {
+            self.calls.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl CostBackend for CountingBackend {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn evaluate(&self, cfg: &AcceleratorConfig, plan: &accel_model::ExecutionPlan) -> Metrics {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.evaluate(cfg, plan)
+        }
+
+        fn fingerprint_into(&self, fp: &mut Fingerprinter) {
+            self.inner.fingerprint_into(fp);
+        }
+
+        fn as_surrogate(&self) -> Option<&accel_model::SurrogateBackend> {
+            self.inner.as_surrogate()
+        }
+    }
+
+    #[test]
+    fn repeated_explorations_are_memo_hits_that_ignore_names() {
+        let counter = CountingBackend::wrap(BackendKind::Analytic.build());
+        let explorer = SoftwareExplorer::new(4).with_backend(counter.clone());
+        let wl = suites::conv2d_workload("c", 64, 64, 28, 28, 3, 3);
+        let first = explorer.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        assert!(counter.take() > 0);
+        let mut renamed_wl = wl.clone();
+        renamed_wl.name = "another layer".into();
+        let mut renamed_cfg = cfg();
+        renamed_cfg.name = "another core".into();
+        let hit = explorer
+            .optimize(&renamed_wl, &renamed_cfg, &quick_opts())
+            .unwrap();
+        assert_eq!(counter.take(), 0, "a hit prices nothing");
+        assert_same_exploration(&hit, &first, "renamed repeat");
+    }
+
+    /// Stops the first run it observes after `round` rounds and lets every
+    /// later run finish; counts the rounds it sees.
+    #[derive(Debug)]
+    struct StopOnce {
+        round: usize,
+        fired: std::sync::atomic::AtomicBool,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Progress for StopOnce {
+        fn on_batch(&self, update: &BatchUpdate<'_>) -> bool {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.seen.fetch_add(1, Relaxed);
+            update.batch != self.round || self.fired.swap(true, Relaxed)
+        }
+    }
+
+    #[test]
+    fn stopped_explorations_are_not_memoized() {
+        let wl = suites::gemm_workload("g", 256, 256, 256);
+        let observer = Arc::new(StopOnce {
+            round: 3,
+            fired: Default::default(),
+            seen: Default::default(),
+        });
+        let explorer = SoftwareExplorer::new(6).with_progress(observer.clone());
+        let stopped = explorer.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        assert_eq!(stopped.history.len(), 3);
+        let again = explorer.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        let fresh = SoftwareExplorer::new(6)
+            .optimize(&wl, &cfg(), &quick_opts())
+            .unwrap();
+        assert_eq!(again.history.len(), quick_opts().rounds);
+        assert_same_exploration(&again, &fresh, "rerun after a stop");
+        // The completed run is memoized: a third call reports no rounds.
+        let rounds = observer.seen.load(std::sync::atomic::Ordering::Relaxed);
+        let hit = explorer.optimize(&wl, &cfg(), &quick_opts()).unwrap();
+        assert_eq!(
+            observer.seen.load(std::sync::atomic::Ordering::Relaxed),
+            rounds
+        );
+        assert_same_exploration(&hit, &fresh, "memo hit");
+    }
+
+    #[test]
+    fn options_seed_and_surrogate_generation_key_explorations() {
+        let wl = suites::gemm_workload("g", 256, 256, 256);
+        let c = cfg();
+        let counter = CountingBackend::wrap(BackendKind::Surrogate.build());
+        let explorer = SoftwareExplorer::new(8).with_backend(counter.clone());
+        let base = quick_opts();
+        explorer.optimize(&wl, &c, &base).unwrap();
+        assert!(counter.take() > 0);
+        explorer.optimize(&wl, &c, &base).unwrap();
+        assert_eq!(counter.take(), 0);
+        let choice = ScheduleContext::new(&wl, &c.intrinsic_comp())
+            .unwrap()
+            .choices[0]
+            .clone();
+        let variants = [
+            ExplorerOptions {
+                pool: base.pool + 1,
+                ..base.clone()
+            },
+            ExplorerOptions {
+                rounds: base.rounds + 1,
+                ..base.clone()
+            },
+            ExplorerOptions {
+                top_k: base.top_k + 1,
+                ..base.clone()
+            },
+            ExplorerOptions {
+                max_pool: base.max_pool + 1,
+                ..base.clone()
+            },
+            ExplorerOptions {
+                use_qlearning: false,
+                ..base.clone()
+            },
+            ExplorerOptions {
+                fixed_choice: Some(choice),
+                ..base.clone()
+            },
+        ];
+        for opts in &variants {
+            explorer.optimize(&wl, &c, opts).unwrap();
+            assert!(counter.take() > 0, "{opts:?} must miss");
+        }
+        // A surrogate's next training generation misses too.
+        assert!(explorer.backend().as_surrogate().unwrap().observe(&c) > 0);
+        explorer.optimize(&wl, &c, &base).unwrap();
+        assert!(counter.take() > 0, "a new generation must miss");
+        // The seed is part of the key.
+        let key = |seed: u64| {
+            let e = SoftwareExplorer::new(seed);
+            SoftwareExplorer::exploration_key(&e.key_base(&wl, &base), &c)
+        };
+        assert_eq!(key(8), key(8));
+        assert_ne!(key(8), key(9));
     }
 
     /// FNV-1a over the bits of every final metric, the history and the

@@ -5,7 +5,11 @@
 //! revision choice is \[and\] apply the revision choice with the highest
 //! Q-value." A DQN — our from-scratch 4-layer [`crate::nn::Mlp`] — predicts
 //! Q-values from schedule features; a replay buffer smooths the updates.
-//! The network "is reused for all design points in a software space".
+//! Each exploration trains a fresh learner, and each explorer memoizes
+//! its completed explorations
+//! ([`crate::explorer::SoftwareExplorer::optimize`]); the paper's reuse of
+//! one network "for all design points in a software space" is not
+//! implemented.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

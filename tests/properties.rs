@@ -7,11 +7,15 @@ use accel_model::CostModel;
 use dse::gp::{GaussianProcess, IncrementalGp};
 use dse::hypervolume::hypervolume;
 use dse::pareto::{dominates, pareto_indices, ParetoArchive};
+use runtime::wire::Wire;
+use runtime::WorkerPool;
+use sw_opt::explorer::{ExplorerOptions, OptimizedSoftware, SoftwareExplorer};
 use sw_opt::lowering;
 use sw_opt::schedule::{Revision, ScheduleContext, NUM_REVISIONS};
 use tensor_ir::intrinsics::{gemm_intrinsic, gemv_intrinsic, IntrinsicKind};
 use tensor_ir::matching::{find_tensorize_choices, MatchOptions};
 use tensor_ir::suites;
+use tensor_ir::workload::Workload;
 
 fn objective_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.1f64..10.0, 3)
@@ -214,5 +218,86 @@ proptest! {
         prop_assert!(
             model.latency_cycles(&cfg, &padded) >= model.latency_cycles(&cfg, &base)
         );
+    }
+}
+
+/// Everything an exploration returns, as wire bytes (floats as bits).
+fn exploration_bytes(r: &Result<OptimizedSoftware, sw_opt::SwError>) -> Option<Vec<u8>> {
+    r.as_ref().ok().map(|o| {
+        let mut out = Vec::new();
+        o.schedule.encode(&mut out);
+        o.metrics.encode(&mut out);
+        o.history.encode(&mut out);
+        o.evaluated.encode(&mut out);
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // ---------------- software-exploration memo -----------------------
+
+    #[test]
+    fn memoized_explorations_match_fresh_ones(
+        palette in prop::collection::vec(0usize..1000, 3),
+        picks in prop::collection::vec((0usize..3, any::<bool>()), 4..8)
+    ) {
+        // Layers drawn from a palette of three, so the list repeats some,
+        // some under another name; mapped onto both fixed sw-map cores.
+        let all: Vec<Workload> = suites::resnet50_convs()
+            .into_iter()
+            .chain(suites::mobilenet_convs())
+            .chain(suites::xception_convs())
+            .collect();
+        let layers: Vec<Workload> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, renamed))| {
+                let mut w = all[palette[p] % all.len()].clone();
+                if renamed {
+                    w.name = format!("copy {i}");
+                }
+                w
+            })
+            .collect();
+        let cores = [
+            AcceleratorConfig::builder(IntrinsicKind::Gemm)
+                .pe_array(16, 16)
+                .scratchpad_kb(256)
+                .banks(4)
+                .build()
+                .unwrap(),
+            AcceleratorConfig::builder(IntrinsicKind::Conv2d)
+                .pe_array(8, 8)
+                .scratchpad_kb(256)
+                .banks(4)
+                .build()
+                .unwrap(),
+        ];
+        let requests: Vec<(&Workload, &AcceleratorConfig)> = cores
+            .iter()
+            .flat_map(|c| layers.iter().map(move |w| (w, c)))
+            .collect();
+        let opts = ExplorerOptions {
+            pool: 8,
+            rounds: 4,
+            top_k: 2,
+            ..ExplorerOptions::default()
+        };
+        let fresh: Vec<_> = requests
+            .iter()
+            .map(|(w, c)| exploration_bytes(&SoftwareExplorer::new(3).optimize(w, c, &opts)))
+            .collect();
+        let serial = SoftwareExplorer::new(3);
+        let memoized: Vec<_> = requests
+            .iter()
+            .map(|(w, c)| exploration_bytes(&serial.optimize(w, c, &opts)))
+            .collect();
+        prop_assert_eq!(&memoized, &fresh);
+        let shared = SoftwareExplorer::new(3);
+        let fanned: Vec<_> = WorkerPool::new(4)
+            .map(&requests, |_, (w, c)| exploration_bytes(&shared.optimize(w, c, &opts)));
+        prop_assert_eq!(&fanned, &fresh);
     }
 }
